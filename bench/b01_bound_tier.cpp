@@ -20,12 +20,12 @@
 //       mode, cache off. Enforced >= 1.5x end-to-end wall with the tier on
 //       at full size (recorded, not enforced, at smoke sizes -- wall
 //       ratios on tiny inputs measure the scheduler).
-//   exactness        : probe-for-probe differential against
-//       OracleOptions::legacy() -- for every instance of both families and
-//       every m in [1, n], feasible(m) under the tier must equal the
-//       legacy verdict, and the OPT values must match. The sandwich is
-//       certified on both sides, so any disagreement is a soundness bug,
-//       not a tolerance.
+//   exactness        : probe-for-probe differential against the exact
+//       tier -- for every instance of both families, OPT is computed once
+//       with the tier off, then for every m in [1, n] feasible(m) under
+//       the tier must equal m >= OPT, and the tier's OPT must match. The
+//       sandwich is certified on both sides, so any disagreement is a
+//       soundness bug, not a tolerance.
 //
 // The phases drive the tier through set_bounds_tier_enabled themselves
 // (the --bounds flag still parses; this driver A/Bs both modes in one
@@ -44,7 +44,6 @@
 #include "minmach/core/bounds.hpp"
 #include "minmach/core/transforms.hpp"
 #include "minmach/flow/feasibility.hpp"
-#include "minmach/flow/query.hpp"
 #include "minmach/gen/generators.hpp"
 #include "minmach/obs/json.hpp"
 #include "minmach/obs/metrics.hpp"
@@ -104,10 +103,11 @@ TierMeasurement run_tier(const std::vector<Instance>& family, bool bounds_on) {
   TierMeasurement out;
   const Clock::time_point start = Clock::now();
   for (const Instance& instance : family) {
-    QueryStats stats = query_optimal_machines_stats(instance);
-    out.probes += stats.probes;
+    FeasibilityOracle oracle(instance);
+    const std::int64_t opt = oracle.optimal_machines();
+    out.probes += oracle.probes_executed();
     out.checksum = out.checksum * 1099511628211ULL +
-                   static_cast<std::uint64_t>(stats.machines);
+                   static_cast<std::uint64_t>(opt);
   }
   out.wall_ms = ms_since(start);
   obs::drain_hot_tallies();
@@ -125,10 +125,12 @@ std::uint64_t shrink_sweep_pass(const std::vector<Instance>& bases,
   for (const Rat& gamma : gammas) {
     for (const Instance& base : bases) {
       checksum = checksum * 1099511628211ULL +
-                 static_cast<std::uint64_t>(query_optimal_machines(base));
+                 static_cast<std::uint64_t>(
+                     FeasibilityOracle(base).optimal_machines());
       checksum = checksum * 1099511628211ULL +
-                 static_cast<std::uint64_t>(query_optimal_machines(
-                     shrink_window_left(base, gamma)));
+                 static_cast<std::uint64_t>(
+                     FeasibilityOracle(shrink_window_left(base, gamma))
+                         .optimal_machines());
     }
   }
   return checksum;
@@ -254,35 +256,40 @@ int main(int argc, char** argv) {
             Table::fmt(sweep_speedup, 2), full_size ? ">= 1.5" : "> 0",
             full_size ? sweep_speedup >= 1.5 : sweep_speedup > 0.0);
 
-  // --- phase C: probe-for-probe exactness vs legacy() --------------------
+  // --- phase C: probe-for-probe exactness vs the exact tier --------------
   // Every verdict the tier hands out -- short-circuited, pinched, or
-  // probed inside the bracket -- must equal the pre-compression legacy
-  // oracle's, m by m. The sandwich makes this an identity, not a bound.
-  set_bounds_tier_enabled(true);
+  // probed inside the bracket -- must equal the exact oracle's, m by m:
+  // feasible(m) iff m >= OPT, with OPT from a tier-off run. The sandwich
+  // makes this an identity, not a bound.
   std::vector<Instance> exact_set = bases;
   for (const Instance& instance : family) exact_set.push_back(instance);
+  std::vector<std::int64_t> exact_opt;
+  exact_opt.reserve(exact_set.size());
+  set_bounds_tier_enabled(false);
+  for (const Instance& instance : exact_set)
+    exact_opt.push_back(FeasibilityOracle(instance).optimal_machines());
+  set_bounds_tier_enabled(true);
   std::uint64_t probes_compared = 0;
   const std::uint64_t skipped0 =
       obs::Registry::global().counter("bounds.probes_skipped").value();
-  for (const Instance& instance : exact_set) {
-    FeasibilityOracle tier(instance);  // default options: bounds on
-    FeasibilityOracle legacy(instance, OracleOptions::legacy());
-    const std::int64_t n = static_cast<std::int64_t>(instance.size());
+  for (std::size_t i = 0; i < exact_set.size(); ++i) {
+    FeasibilityOracle tier(exact_set[i]);
+    const std::int64_t n = static_cast<std::int64_t>(exact_set[i].size());
     for (std::int64_t m = 1; m <= n; ++m) {
-      bench::require(tier.feasible(m) == legacy.feasible(m),
+      bench::require(tier.feasible(m) == (m >= exact_opt[i]),
                      "exactness: feasible(" + std::to_string(m) +
-                         ") diverges from legacy()");
+                         ") diverges from the exact tier");
       ++probes_compared;
     }
-    bench::require(tier.optimal_machines() == legacy.optimal_machines(),
-                   "exactness: OPT diverges from legacy()");
+    bench::require(tier.optimal_machines() == exact_opt[i],
+                   "exactness: OPT diverges from the exact tier");
   }
   obs::drain_hot_tallies();
   const std::uint64_t probes_skipped =
       obs::Registry::global().counter("bounds.probes_skipped").value() -
       skipped0;
   set_bounds_tier_enabled(false);
-  ctx.check("exactness: probe-for-probe verdicts equal legacy()",
+  ctx.check("exactness: probe-for-probe verdicts equal the exact tier",
             std::to_string(probes_compared) + " probes", "all equal", true);
 
   // Machine-readable record (wall times included, so this file is NOT

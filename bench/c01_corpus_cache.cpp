@@ -44,7 +44,7 @@
 #include "bench/bench_common.hpp"
 #include "minmach/adversary/strong_lb.hpp"
 #include "minmach/core/transforms.hpp"
-#include "minmach/flow/query.hpp"
+#include "minmach/flow/feasibility.hpp"
 #include "minmach/gen/generators.hpp"
 #include "minmach/io/serialize.hpp"
 #include "minmach/obs/json.hpp"
@@ -95,8 +95,9 @@ double time_open_ms(const std::string& path) {
   return best;
 }
 
-// Queries every instance once through the query engine; probes and an
-// order-sensitive answer checksum.
+// Computes every instance's OPT once through a fresh oracle (which
+// consults the OPT cache itself); probes and an order-sensitive answer
+// checksum.
 struct MixMeasurement {
   std::uint64_t probes = 0;
   std::uint64_t checksum = 0;
@@ -105,10 +106,11 @@ struct MixMeasurement {
 MixMeasurement query_mix(const std::vector<Instance>& mix) {
   MixMeasurement out;
   for (const Instance& instance : mix) {
-    QueryStats stats = query_optimal_machines_stats(instance);
-    out.probes += stats.probes;
+    FeasibilityOracle oracle(instance);
+    const std::int64_t opt = oracle.optimal_machines();
+    out.probes += oracle.probes_executed();
     out.checksum = out.checksum * 1099511628211ULL +
-                   static_cast<std::uint64_t>(stats.machines);
+                   static_cast<std::uint64_t>(opt);
   }
   return out;
 }

@@ -161,28 +161,6 @@ BENCHMARK(BM_FlowOptimalMachinesRebuild)
     ->Arg(80)
     ->Complexity();
 
-// The pre-compression oracle (dense per-segment edges, cold probes,
-// density-only lower bound), on the same instances as
-// BM_FlowOptimalMachines: the wall-clock denominator for the segment-tree
-// + warm-start + sweep-bound stack (bench/o01_oracle_scaling.cpp measures
-// the same ratio at scale).
-void BM_FlowOptimalMachinesDense(benchmark::State& state) {
-  Rng rng(4);
-  GenConfig config;
-  config.n = static_cast<std::size_t>(state.range(0));
-  Instance in = gen_general(rng, config);
-  for (auto _ : state) {
-    FeasibilityOracle oracle(in, OracleOptions::legacy());
-    benchmark::DoNotOptimize(oracle.optimal_machines());
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_FlowOptimalMachinesDense)
-    ->Arg(20)
-    ->Arg(40)
-    ->Arg(80)
-    ->Complexity();
-
 void BM_SingleMachineAdmission(benchmark::State& state) {
   Rng rng(5);
   GenConfig config;

@@ -1,15 +1,13 @@
-// O1 -- oracle scaling: segment-tree compression + warm-started probes +
-// sweep load bound vs the pre-compression oracle (dense edges, cold
-// probes, density-only bound).
+// O1 -- oracle scaling: the production oracle (segment-tree-compressed
+// network, warm-started probes, sweep load bound) as n grows.
 //
-// Sweeps n over --sizes, computing exact migratory OPT per instance with
-// both oracle configurations (the legacy baseline is capped at
-// --baseline-cap jobs; beyond that only the fast oracle runs) and records
-// wall time, flow.edge_visits, probe counts, and the warm/cold split to
-// --out (BENCH_oracle.json). Two invariants are enforced at the largest
-// size both configurations ran: the compressed/warm oracle must scan at
-// least 10x fewer residual edges per OPT computation (deterministic) and
-// be at least 5x faster by wall clock.
+// Sweeps n over --sizes, computing exact migratory OPT per instance, and
+// records wall time, flow.edge_visits, probe counts, and the warm/cold
+// split to --out (BENCH_oracle.json). The edge-visit and probe counts are
+// deterministic per revision, so the CI perfdiff sentinel gates them
+// against the committed smoke baseline. The committed top-level
+// BENCH_oracle.json also keeps the measured ratios against the
+// pre-compression dense oracle, which no longer exists in the tree.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -36,10 +34,9 @@ struct Measurement {
   std::uint64_t cold_probes = 0;
 };
 
-// One full OPT computation (build + search) under the given options, with
-// the flow/oracle counter deltas attributed to it.
-Measurement measure(const minmach::Instance& instance,
-                    const minmach::OracleOptions& options) {
+// One full OPT computation (build + search), with the flow/oracle counter
+// deltas attributed to it.
+Measurement measure(const minmach::Instance& instance) {
   using Clock = std::chrono::steady_clock;
   minmach::obs::Registry& registry = minmach::obs::Registry::global();
   minmach::obs::drain_hot_tallies();
@@ -51,7 +48,7 @@ Measurement measure(const minmach::Instance& instance,
   Measurement out;
   const Clock::time_point start = Clock::now();
   {
-    minmach::FeasibilityOracle oracle(instance, options);
+    minmach::FeasibilityOracle oracle(instance);
     out.opt = oracle.optimal_machines();
   }
   out.wall_ms =
@@ -80,7 +77,6 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   const std::string sizes_csv =
       cli.get_string("sizes", "250,500,1000,2000,4000");
-  const std::int64_t baseline_cap = cli.get_int("baseline-cap", 2000);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const std::string out_path = cli.get_string("out", "BENCH_oracle.json");
   bench::Run ctx(cli,
@@ -89,15 +85,12 @@ int main(int argc, char** argv) {
   cli.check_unknown();
   const std::vector<std::int64_t> sizes = parse_sizes(sizes_csv);
   ctx.config("sizes", sizes_csv);
-  ctx.config("baseline-cap", baseline_cap);
   ctx.config("seed", static_cast<std::int64_t>(seed));
 
   struct Row {
     std::string family;
     std::int64_t n = 0;
     Measurement fast;
-    Measurement legacy;
-    bool has_legacy = false;
   };
   std::vector<Row> rows;
 
@@ -105,10 +98,6 @@ int main(int argc, char** argv) {
     const char* name;
     Instance (*generate)(Rng&, const GenConfig&);
     GenConfig (*config)(std::int64_t n);
-    // Families the compression targets (p_j <= segment lengths, wide
-    // windows) carry the acceptance checks; tight families are recorded
-    // to document the graceful degradation but not enforced.
-    bool checked;
   };
   const Family families[] = {
       // Unit jobs on an integer grid with windows as wide as the horizon:
@@ -118,8 +107,7 @@ int main(int argc, char** argv) {
        [](std::int64_t n) {
          const std::int64_t horizon = std::max<std::int64_t>(4, n / 8);
          return GenConfig{static_cast<std::size_t>(n), horizon, horizon, 1};
-       },
-       true},
+       }},
       // General jobs with p_j a random fraction of a narrow window: most
       // in-window segments are shorter than p_j, so the compressed network
       // degrades toward dense direct edges (the warm start and sweep bound
@@ -128,12 +116,10 @@ int main(int argc, char** argv) {
        [](std::int64_t n) {
          return GenConfig{static_cast<std::size_t>(n), 2 * n,
                           std::max<std::int64_t>(8, n / 8), 2};
-       },
-       false},
+       }},
   };
 
-  Table table({"family", "n", "opt", "fast ms", "fast edges", "warm/cold",
-               "legacy ms", "legacy edges", "speedup", "edge ratio"});
+  Table table({"family", "n", "opt", "fast ms", "fast edges", "warm/cold"});
   for (const Family& family : families) {
     for (std::int64_t n : sizes) {
       const GenConfig config = family.config(n);
@@ -143,62 +129,17 @@ int main(int argc, char** argv) {
       Row row;
       row.family = family.name;
       row.n = n;
-      row.fast = measure(instance, OracleOptions{});
-      row.has_legacy = n <= baseline_cap;
-      if (row.has_legacy) {
-        row.legacy = measure(instance, OracleOptions::legacy());
-        bench::require(row.legacy.opt == row.fast.opt,
-                       "fast and legacy oracles disagree on OPT");
-      }
+      row.fast = measure(instance);
       rows.push_back(row);
-
-      const double speedup =
-          row.has_legacy && row.fast.wall_ms > 0.0
-              ? row.legacy.wall_ms / row.fast.wall_ms
-              : 0.0;
-      const double edge_ratio =
-          row.has_legacy && row.fast.edge_visits > 0
-              ? static_cast<double>(row.legacy.edge_visits) /
-                    static_cast<double>(row.fast.edge_visits)
-              : 0.0;
       table.add_row({row.family, std::to_string(row.n),
                  std::to_string(row.fast.opt), Table::fmt(row.fast.wall_ms, 2),
                  std::to_string(row.fast.edge_visits),
                  std::to_string(row.fast.warm_probes) + "/" +
-                     std::to_string(row.fast.cold_probes),
-                 row.has_legacy ? Table::fmt(row.legacy.wall_ms, 2) : "-",
-                 row.has_legacy ? std::to_string(row.legacy.edge_visits) : "-",
-                 row.has_legacy ? Table::fmt(speedup, 1) : "-",
-                 row.has_legacy ? Table::fmt(edge_ratio, 1) : "-"});
+                     std::to_string(row.fast.cold_probes)});
     }
   }
   table.print(std::cout);
   ctx.table("oracle scaling", table);
-
-  // Acceptance at the largest size both configurations ran (per family):
-  // >= 10x fewer residual-edge visits (deterministic) and >= 5x wall
-  // speedup for one exact OPT computation.
-  for (const Family& family : families) {
-    if (!family.checked) continue;
-    const Row* largest = nullptr;
-    for (const Row& row : rows) {
-      if (row.family == family.name && row.has_legacy &&
-          (!largest || row.n > largest->n))
-        largest = &row;
-    }
-    if (!largest) continue;
-    const double edge_ratio =
-        static_cast<double>(largest->legacy.edge_visits) /
-        static_cast<double>(std::max<std::uint64_t>(1, largest->fast.edge_visits));
-    const double speedup = largest->legacy.wall_ms /
-                           std::max(1e-9, largest->fast.wall_ms);
-    ctx.check(std::string(family.name) + ": edge visits ratio >= 10 at n=" +
-                  std::to_string(largest->n),
-              Table::fmt(edge_ratio, 2), ">= 10", edge_ratio >= 10.0);
-    ctx.check(std::string(family.name) + ": wall speedup >= 5 at n=" +
-                  std::to_string(largest->n),
-              Table::fmt(speedup, 2), ">= 5", speedup >= 5.0);
-  }
 
   // Machine-readable record (wall times included, so this file is NOT
   // byte-deterministic -- unlike --report).
@@ -220,17 +161,6 @@ int main(int argc, char** argv) {
     json.key("fast_probes").value(row.fast.probes);
     json.key("warm_probes").value(row.fast.warm_probes);
     json.key("cold_probes").value(row.fast.cold_probes);
-    if (row.has_legacy) {
-      json.key("legacy_wall_ms").value(row.legacy.wall_ms);
-      json.key("legacy_edge_visits").value(row.legacy.edge_visits);
-      json.key("legacy_probes").value(row.legacy.probes);
-      json.key("wall_speedup")
-          .value(row.legacy.wall_ms / std::max(1e-9, row.fast.wall_ms));
-      json.key("edge_visit_ratio")
-          .value(static_cast<double>(row.legacy.edge_visits) /
-                 static_cast<double>(
-                     std::max<std::uint64_t>(1, row.fast.edge_visits)));
-    }
     json.end_object();
   }
   json.end_array();

@@ -1,8 +1,7 @@
-// Q1 -- query engine: the affine-canonical OPT cache and speculative
-// parallel probing (DESIGN.md section 11) against the plain sequential
-// oracle, on the workloads they were built for.
+// Q1 -- the affine-canonical OPT cache (DESIGN.md section 11) against the
+// uncached oracle, on the workloads it was built for.
 //
-// Three phases, each cross-checked for exact result equality:
+// Two phases, each cross-checked for exact result equality:
 //
 //   strong-lb family : every recursion level of the Theorem 3 adversary,
 //       for k = 2..levels, harvested as sub-instances via the recorded
@@ -18,17 +17,13 @@
 //       without clearing the cache. Enforced >= 1.5x wall clock with the
 //       cache on at full size (recorded, not enforced, at smoke sizes --
 //       wall ratios on tiny inputs are scheduler noise).
-//   speculation      : speculate=3 vs the sequential search, cache off so
-//       probe counts are comparable. Enforced: identical machine counts,
-//       and total speculative probes <= sequential probes plus the
-//       (live - 1) x rounds overhead bound (each round retires at most
-//       live - 1 candidates that monotonicity already implied).
 //
-// The phases configure the global OptCache themselves (the --cache flag
-// still parses, but this driver A/Bs both modes in one run). Cache and
-// speculation tallies are execution-class, so the --report bytes stay
-// identical whatever this driver does to the cache. Writes --out
-// (BENCH_query.json).
+// Every OPT is FeasibilityOracle(instance).optimal_machines(); the oracle
+// consults the cache itself. The phases configure the global OptCache
+// themselves (the --cache flag still parses, but this driver A/Bs both
+// modes in one run). Cache tallies are execution-class, so the --report
+// bytes stay identical whatever this driver does to the cache. Writes
+// --out (BENCH_query.json).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -41,7 +36,7 @@
 #include "minmach/adversary/strong_lb.hpp"
 #include "minmach/algos/nonmig.hpp"
 #include "minmach/core/transforms.hpp"
-#include "minmach/flow/query.hpp"
+#include "minmach/flow/feasibility.hpp"
 #include "minmach/gen/generators.hpp"
 #include "minmach/obs/json.hpp"
 #include "minmach/obs/metrics.hpp"
@@ -94,10 +89,11 @@ FamilyMeasurement run_family(const std::vector<Instance>& family, int repeats,
   const Clock::time_point start = Clock::now();
   for (int rep = 0; rep < repeats; ++rep) {
     for (const Instance& instance : family) {
-      QueryStats stats = query_optimal_machines_stats(instance);
-      out.probes += stats.probes;
+      FeasibilityOracle oracle(instance);
+      const std::int64_t opt = oracle.optimal_machines();
+      out.probes += oracle.probes_executed();
       out.checksum = out.checksum * 1099511628211ULL +
-                     static_cast<std::uint64_t>(stats.machines);
+                     static_cast<std::uint64_t>(opt);
     }
   }
   out.wall_ms = ms_since(start);
@@ -116,10 +112,12 @@ std::uint64_t shrink_sweep_pass(const std::vector<Instance>& bases,
   for (const Rat& gamma : gammas) {
     for (const Instance& base : bases) {
       checksum = checksum * 1099511628211ULL +
-                 static_cast<std::uint64_t>(query_optimal_machines(base));
+                 static_cast<std::uint64_t>(
+                     FeasibilityOracle(base).optimal_machines());
       checksum = checksum * 1099511628211ULL +
-                 static_cast<std::uint64_t>(query_optimal_machines(
-                     shrink_window_left(base, gamma)));
+                 static_cast<std::uint64_t>(
+                     FeasibilityOracle(shrink_window_left(base, gamma))
+                         .optimal_machines());
     }
   }
   return checksum;
@@ -136,10 +134,8 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(cli.get_int("trials", 3));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 9));
   const std::string out_path = cli.get_string("out", "BENCH_query.json");
-  bench::Run ctx(cli,
-                 "Q1: query engine -- canonical OPT cache + speculation",
-                 "affine-equal subproblems are answered once; speculative "
-                 "probing stays within the sequential probe budget");
+  bench::Run ctx(cli, "Q1: canonical OPT cache",
+                 "affine-equal subproblems are answered once");
   cli.check_unknown();
   bench::require(levels >= 2, "--levels must be >= 2");
   bench::require(repeats >= 1, "--repeats must be >= 1");
@@ -242,46 +238,6 @@ int main(int argc, char** argv) {
             Table::fmt(sweep_speedup, 2), full_size ? ">= 1.5" : "> 0",
             full_size ? sweep_speedup >= 1.5 : sweep_speedup > 0.0);
 
-  // --- phase C: speculative probing vs sequential search ------------------
-  util::OptCache::global().configure(false, capacity);
-  const int live = 3;
-  std::uint64_t seq_probes = 0, spec_probes = 0, spec_rounds = 0,
-                spec_retired = 0;
-  QueryOptions sequential;
-  sequential.speculate = 0;
-  QueryOptions speculative;
-  speculative.speculate = live;
-  std::vector<Instance> probe_set = bases;
-  for (const Instance& instance : family)
-    if (instance.size() >= 8) probe_set.push_back(instance);
-  for (const Instance& instance : probe_set) {
-    QueryStats seq = query_optimal_machines_stats(instance, sequential);
-    QueryStats spec = query_optimal_machines_stats(instance, speculative);
-    bench::require(seq.machines == spec.machines,
-                   "speculation: machine counts diverge from sequential");
-    seq_probes += seq.probes;
-    spec_probes += spec.probes;
-    spec_rounds += spec.rounds;
-    spec_retired += spec.retired;
-  }
-  const std::uint64_t probe_bound =
-      seq_probes + static_cast<std::uint64_t>(live - 1) * spec_rounds;
-
-  Table spec_table({"search", "probes", "rounds", "retired"});
-  spec_table.add_row({"sequential", std::to_string(seq_probes), "-", "-"});
-  spec_table.add_row({"speculate=3", std::to_string(spec_probes),
-                      std::to_string(spec_rounds),
-                      std::to_string(spec_retired)});
-  spec_table.print(std::cout);
-  ctx.table("speculative probing (" + std::to_string(probe_set.size()) +
-                " instances, cache off)",
-            spec_table);
-  ctx.check("speculation: probes within sequential + (live-1) x rounds",
-            std::to_string(spec_probes), "<= " + std::to_string(probe_bound),
-            spec_probes <= probe_bound);
-  ctx.check("speculation: rounds launched", std::to_string(spec_rounds),
-            ">= 1", spec_rounds >= 1);
-
   // Leave the process-wide cache the way library users find it.
   util::OptCache::global().configure(false, capacity);
 
@@ -315,15 +271,6 @@ int main(int argc, char** argv) {
   json.key("wall_on_ms").value(sweep_on_ms);
   json.key("speedup").value(sweep_speedup);
   json.key("threshold_enforced").value(full_size);
-  json.end_object();
-  json.key("speculation").begin_object();
-  json.key("live").value(static_cast<std::int64_t>(live));
-  json.key("instances").value(static_cast<std::int64_t>(probe_set.size()));
-  json.key("sequential_probes").value(seq_probes);
-  json.key("speculative_probes").value(spec_probes);
-  json.key("rounds").value(spec_rounds);
-  json.key("retired").value(spec_retired);
-  json.key("probe_bound").value(probe_bound);
   json.end_object();
   json.end_object();
   os << "\n";

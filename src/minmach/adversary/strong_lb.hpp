@@ -54,7 +54,7 @@ struct StrongLbParams {
 // Recorded in post-order (children before their parent; the last slice is
 // the whole instance). Each slice is itself a complete strong-lb
 // sub-instance -- an affine copy of the other same-level builds -- which is
-// what the query engine's canonical OPT cache collides on (bench/q01).
+// what the canonical OPT cache collides on (bench/q01).
 struct StrongLbLevelSlice {
   int level = 0;           // the k of this build call (2 = base gadget)
   std::size_t job_begin = 0;  // [job_begin, job_end) in release order

@@ -84,13 +84,12 @@ struct LowerBoundParts {
     const std::vector<Rat>& processing, const std::vector<Rat>& points,
     std::size_t left_budget = 256);
 
-// Process-wide runtime gate for the bound tier, ANDed with
-// OracleOptions::bounds (mirroring how OracleOptions::simd is ANDed with
-// util::simd::active()). Defaults to enabled; the bench drivers default it
-// OFF via --bounds so the committed baselines and legacy-vs-fast ratio
-// checks keep measuring the exact tier alone (bench/b01_bound_tier A/Bs
-// the sandwich explicitly). Flip it from driver setup paths only -- it is
-// not synchronized against in-flight oracles.
+// Process-wide runtime gate for the bound tier in FeasibilityOracle.
+// Defaults to enabled; the bench drivers default it OFF via --bounds so the
+// committed baselines keep measuring the exact tier alone
+// (bench/b01_bound_tier A/Bs the sandwich explicitly), and tests turn it
+// off to force network probes. Flip it from driver setup paths only -- it
+// is not synchronized against in-flight oracles.
 void set_bounds_tier_enabled(bool enabled);
 [[nodiscard]] bool bounds_tier_enabled();
 

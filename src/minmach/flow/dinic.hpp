@@ -55,10 +55,11 @@ class Dinic {
   }
 
   // Level-graph kernel selection: -1 follows the global SIMD dispatch
-  // (util::simd::active(), re-read on every pass), 0 forces the scalar
-  // queue, 1 forces the bit-parallel frontier. The feasibility oracle pins
-  // this from OracleOptions::simd so its legacy baseline stays the seed
-  // path; util::substrate_legacy() overrides everything (see build_levels).
+  // (util::simd::active(), re-read on every pass; the default after
+  // construction and reinit, which the feasibility oracle keeps), 0 forces
+  // the scalar queue, 1 forces the bit-parallel frontier -- the kernel
+  // differentials and bench/v01 pin it to compare the two.
+  // util::substrate_legacy() overrides everything (see build_levels).
   void set_level_kernel(int mode) { accel_mode_ = mode; }
 
   // Appends an isolated node and returns its id. Existing edges, routed

@@ -176,7 +176,6 @@ Network build_network(const Instance& instance, std::int64_t machines) {
 struct BuildCounters {
   std::uint64_t tree_edges = 0;    // job -> canonical segment-tree node
   std::uint64_t direct_edges = 0;  // job -> capped leaf (|segment| < p_j)
-  std::uint64_t dense_edges = 0;   // legacy job -> segment (compress off)
   std::size_t segments = 0;
 };
 
@@ -193,11 +192,6 @@ struct OracleNet {
   Cap total_work{0};
   Cap routed{0};  // flow currently in the graph (accumulates across warm probes)
   std::int64_t flow_m = 0;  // machine count the routed flow was admitted under
-  // OracleOptions::simd resolved at construction: build() may batch the
-  // total-work sum, sweep_bound() may run the int64 SIMD kernel, and the
-  // constructor pins the Dinic level kernel accordingly. Results are
-  // identical either way.
-  bool accel = false;
   std::size_t source = 0;
   std::size_t sink = 0;
 
@@ -261,10 +255,10 @@ struct OracleNet {
   };
   DynState dyn;
 
-  void build(bool compress, BuildCounters& counters);
+  void build(BuildCounters& counters);
   // Returns the verdict; sets `warm` to whether the probe reused the
   // routed flow (capacities only grew) or reset it.
-  bool probe(std::int64_t machines, bool allow_warm, bool& warm);
+  bool probe(std::int64_t machines, bool& warm);
   [[nodiscard]] std::int64_t sweep_bound() const;
 
   // Dynamic layout (definitions below build()).
@@ -301,7 +295,6 @@ struct OracleNet {
     total_work = Cap(0);
     routed = Cap(0);
     flow_m = 0;
-    accel = false;
     source = 0;
     sink = 0;
     dyn.reset();
@@ -309,7 +302,7 @@ struct OracleNet {
 };
 
 template <typename Cap>
-void OracleNet<Cap>::build(bool compress, BuildCounters& counters) {
+void OracleNet<Cap>::build(BuildCounters& counters) {
   const std::size_t n = release.size();
   const std::size_t segments = points.empty() ? 0 : points.size() - 1;
   counters.segments = segments;
@@ -318,9 +311,9 @@ void OracleNet<Cap>::build(bool compress, BuildCounters& counters) {
     seg_length[k] = points[k + 1] - points[k];
   total_work = Cap(0);
   if constexpr (std::is_same_v<Cap, Rat>) {
-    if (accel) {
+    if (util::simd::active()) {
       total_work = rat_batch::sum(processing.data(), processing.size(),
-                                  util::simd::active());
+                                  /*avx2=*/true);
     } else {
       for (const Cap& p : processing) total_work += p;
     }
@@ -329,37 +322,13 @@ void OracleNet<Cap>::build(bool compress, BuildCounters& counters) {
   }
   source = 0;
 
-  if (!compress) {
-    // Legacy dense layout (the pre-compression oracle, kept bit-for-bit as
-    // the differential baseline): 0 = source, 1..n = jobs, n+1..n+segments,
-    // last = sink; containment scanned per (job, segment) pair.
-    sink = n + segments + 1;
-    if (util::substrate_legacy())
-      graph = Dinic<Cap>(n + segments + 2);  // seed: fresh network per build
-    else
-      graph.reinit(n + segments + 2);
-    sink_handle.clear();
-    for (std::size_t k = 0; k < segments; ++k)
-      sink_handle.push_back(graph.add_edge(n + 1 + k, sink, Cap(0)));
-    for (std::size_t j = 0; j < n; ++j) {
-      graph.add_edge(source, 1 + j, processing[j]);
-      for (std::size_t k = 0; k < segments; ++k) {
-        if (release[j] <= points[k] && points[k + 1] <= deadline[j]) {
-          graph.add_edge(1 + j, n + 1 + k, seg_length[k]);
-          ++counters.dense_edges;
-        }
-      }
-    }
-    return;
-  }
-
   // Segment-tree layout. The per-(job, segment) capacity |segment| can
   // only bind where |segment| < p_j; those pairs keep direct capped edges.
   // Everywhere else the cap is vacuous (a job routes at most p_j anywhere),
   // so maximal cap-free runs of a job's range are covered by O(log S)
   // canonical tree nodes whose internal edges merely forward capacity down
   // to the leaves. DESIGN.md proves this network max-flow-equivalent to
-  // the dense one.
+  // the dense Horn network (tests/reference_horn.hpp builds that one).
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
   const bool legacy = util::substrate_legacy();
   BuildScratch local;  // legacy baseline: fresh vectors every build
@@ -737,9 +706,8 @@ void OracleNet<Cap>::splice_remove(std::size_t slot) {
 }
 
 template <typename Cap>
-bool OracleNet<Cap>::probe(std::int64_t machines, bool allow_warm,
-                           bool& warm) {
-  warm = allow_warm && machines >= flow_m;
+bool OracleNet<Cap>::probe(std::int64_t machines, bool& warm) {
+  warm = machines >= flow_m;
   if (warm) {
     // Sink capacities only grow, so the routed flow stays feasible and
     // max_flow() resumes from the residual graph.
@@ -769,7 +737,7 @@ template <typename Cap>
 std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
                                 const std::vector<Cap>& deadline,
                                 const std::vector<Cap>& processing,
-                                const std::vector<Cap>& points, bool accel) {
+                                const std::vector<Cap>& points) {
   // Left-endpoint budget: caps the sweep at O(budget * (n + S)). The bound
   // stays certified (subset of intervals); any slack vs the exact value is
   // absorbed by a few extra warm ascending probes, which cost one residual
@@ -785,7 +753,7 @@ std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
     // values fit int64 by the try_integer_grid guard; the kernel spills
     // back to this generic path internally if its tighter overflow guard
     // rejects the instance. Bit-identical results either way.
-    if (accel && util::simd::active()) {
+    if (util::simd::active()) {
       auto narrow = [](const std::vector<__int128>& v) {
         std::vector<std::int64_t> out(v.size());
         for (std::size_t i = 0; i < v.size(); ++i)
@@ -813,7 +781,7 @@ std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
 
 template <typename Cap>
 std::int64_t OracleNet<Cap>::sweep_bound() const {
-  return sweep_bound_arrays(release, deadline, processing, points, accel);
+  return sweep_bound_arrays(release, deadline, processing, points);
 }
 
 // Live view of a (possibly edited) net: the live slots' values plus their
@@ -849,7 +817,6 @@ LiveArrays<Cap> live_view(const OracleNet<Cap>& net,
 // ---- incremental oracle ------------------------------------------------
 
 struct FeasibilityOracle::Impl {
-  OracleOptions options;
   bool empty = false;
   bool well_formed = true;
   bool integer_mode = false;
@@ -868,6 +835,13 @@ struct FeasibilityOracle::Impl {
   bool has_fp = false;
   util::Digest128 fp;
   std::uint64_t probes_executed = 0;
+
+  // With the OPT cache enabled the Instance constructor only fingerprints
+  // and keeps a copy of the jobs: a cached OPT answers optimal_machines()
+  // and completes the verdict memo without the normalized arrays, so
+  // normalization waits for its first real use (ensure_normalized).
+  Instance deferred;
+  bool deferred_pending = false;
 
   // Probe network (exactly one is built, per integer_mode). The constructor
   // only normalizes the instance into the net's arrays; the Horn network
@@ -911,13 +885,16 @@ struct FeasibilityOracle::Impl {
   std::int64_t lower_bound();
   void publish_flow_stats();
   void ensure_network();
-  // The public Instance constructor's normalization body (grid conversion,
-  // density bound, fingerprint), shared with the JobColumns constructor's
-  // fallback path. Assumes a freshly reset Impl.
-  void init_from_instance(const Instance& instance,
-                          const OracleOptions& options);
+  // The public Instance constructor's body (validity, fingerprint, then
+  // normalization now or deferred), shared with the JobColumns
+  // constructor's fallback path. Assumes a freshly reset Impl.
+  void init_from_instance(const Instance& instance);
+  // Grid conversion, density bound and the net's arrays.
+  void normalize(const Instance& instance);
+  void ensure_normalized();
   JobId insert(const Job& job);
   void remove(JobId id);
+  void splice(std::size_t slot, bool insert);
   void enter_dyn_mode();
   void fall_back_to_rational();
   void compact_slots();
@@ -931,16 +908,12 @@ struct FeasibilityOracle::Impl {
     sandwich_cache = BoundSandwich{};
     has_fp = false;  // the fingerprint named the pre-edit instance
   }
-  [[nodiscard]] bool bounds_active() const {
-    return options.bounds && bounds_tier_enabled();
-  }
   const BoundSandwich& sandwich();
   [[nodiscard]] Instance materialize() const;
 
   // Restores the default-constructed logical state (everything the public
   // constructor assumes) while keeping container storage.
   void reset() {
-    options = OracleOptions{};
     empty = false;
     well_formed = true;
     integer_mode = false;
@@ -952,6 +925,8 @@ struct FeasibilityOracle::Impl {
     has_fp = false;
     fp = util::Digest128{};
     probes_executed = 0;
+    deferred.clear();
+    deferred_pending = false;
     network_built = false;
     sandwich_done = false;
     sandwich_cache = BoundSandwich{};
@@ -971,7 +946,8 @@ struct FeasibilityOracle::Impl {
 
 namespace {
 // One pooled oracle Impl per thread, leased by at most one live oracle at a
-// time; nested oracles and the legacy baseline fall back to fresh Impls.
+// time; nested oracles and the substrate_legacy() baseline fall back to
+// fresh Impls.
 thread_local bool g_oracle_pool_busy = false;
 }  // namespace
 
@@ -1002,19 +978,24 @@ void FeasibilityOracle::ImplDeleter::operator()(Impl* impl) const noexcept {
   if (impl->owner_busy == &g_oracle_pool_busy) g_oracle_pool_busy = false;
 }
 
-FeasibilityOracle::FeasibilityOracle(const Instance& instance,
-                                     const OracleOptions& options)
+FeasibilityOracle::FeasibilityOracle(const Instance& instance)
     : impl_(acquire_impl()) {
-  // Normalization only (grid conversion, density bound, fingerprint); the
-  // network build has its own span inside ensure_network().
+  // Validity, fingerprint and normalization (grid conversion, density
+  // bound) -- the last deferred while the OPT cache is on; the network
+  // build has its own span inside ensure_network().
   obs::ProfileSpan span("oracle_norm");
-  impl_->init_from_instance(instance, options);
+  impl_->init_from_instance(instance);
 }
 
-void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
-                                                 const OracleOptions& options) {
+void FeasibilityOracle::Impl::ensure_normalized() {
+  if (!deferred_pending) return;
+  deferred_pending = false;
+  obs::ProfileSpan span("oracle_norm");
+  normalize(deferred);
+}
+
+void FeasibilityOracle::Impl::init_from_instance(const Instance& instance) {
   Impl& im = *this;
-  im.options = options;
   im.empty = instance.empty();
   if (im.empty) return;
   im.well_formed = instance.well_formed();
@@ -1025,14 +1006,22 @@ void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
   im.min_feasible = im.job_count;
 
   if (util::OptCache::global().enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    obs::ScopedTimer timer(reg.timing("cache.fingerprint_ns"));
-    im.fp = canonical_fingerprint(instance);
-    im.has_fp = true;
-    reg.counter("cache.fingerprints").add();
+    {
+      obs::Registry& reg = obs::Registry::global();
+      obs::ScopedTimer timer(reg.timing("cache.fingerprint_ns"));
+      im.fp = canonical_fingerprint(instance);
+      im.has_fp = true;
+      reg.counter("cache.fingerprints").add();
+    }
+    im.deferred = instance;
+    im.deferred_pending = true;
+    return;
   }
+  im.normalize(instance);
+}
 
-  const bool accel = options.simd && util::simd::active();
+void FeasibilityOracle::Impl::normalize(const Instance& instance) {
+  Impl& im = *this;
   const std::size_t n = instance.size();
 
   // SIMD fast path: when every field is a small integer the grid is the
@@ -1043,7 +1032,7 @@ void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
   // seed path value for value.
   IntegerGrid grid;
   std::int64_t small_total = 0;
-  if (accel) {
+  if (util::simd::active()) {
     SmallGrid small = try_small_integer_grid(instance);
     grid = std::move(small.grid);
     small_total = small.total_work;
@@ -1063,7 +1052,6 @@ void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
     im.integer_mode = true;
     im.grid_scale = grid.scale;  // later insert_job() scales onto this grid
     OracleNet<__int128>& net = im.inet;
-    net.accel = accel;
     net.release.assign(grid.release.begin(), grid.release.end());
     net.deadline.assign(grid.deadline.begin(), grid.deadline.end());
     net.processing.assign(grid.processing.begin(), grid.processing.end());
@@ -1087,7 +1075,6 @@ void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
     net.points.assign(ipoints.begin(), ipoints.end());
   } else {
     OracleNet<Rat>& net = im.rnet;
-    net.accel = accel;
     net.release.reserve(n);
     net.deadline.reserve(n);
     net.processing.reserve(n);
@@ -1103,12 +1090,10 @@ void FeasibilityOracle::Impl::init_from_instance(const Instance& instance,
   // OPT cache skips the build entirely.
 }
 
-FeasibilityOracle::FeasibilityOracle(const JobColumns& columns,
-                                     const OracleOptions& options)
+FeasibilityOracle::FeasibilityOracle(const JobColumns& columns)
     : impl_(acquire_impl()) {
   obs::ProfileSpan span("oracle_norm");
   Impl& im = *impl_;
-  im.options = options;
   im.empty = columns.count == 0;
   if (im.empty) return;
   const std::size_t n = columns.count;
@@ -1140,7 +1125,7 @@ FeasibilityOracle::FeasibilityOracle(const JobColumns& columns,
     for (std::size_t j = 0; j < n; ++j)
       fallback.add_job({Rat(columns.release[j]), Rat(columns.deadline[j]),
                         Rat(columns.processing[j])});
-    im.init_from_instance(fallback, options);
+    im.init_from_instance(fallback);
     return;
   }
 
@@ -1159,7 +1144,6 @@ FeasibilityOracle::FeasibilityOracle(const JobColumns& columns,
 
   im.integer_mode = true;
   OracleNet<__int128>& net = im.inet;
-  net.accel = options.simd && util::simd::active();
   net.release.assign(columns.release, columns.release + n);
   net.deadline.assign(columns.deadline, columns.deadline + n);
   net.processing.assign(columns.processing, columns.processing + n);
@@ -1180,53 +1164,45 @@ FeasibilityOracle::FeasibilityOracle(const JobColumns& columns,
 
 void FeasibilityOracle::Impl::ensure_network() {
   if (network_built || empty || !well_formed) return;
+  ensure_normalized();
   network_built = true;
   obs::ProfileSpan span("oracle_build");
   BuildCounters counters;
   // An edited oracle compacts retired slots away before any (re)build --
-  // both layouts want dense all-live arrays -- and with options.dynamic
-  // adopts the flat splice-able layout so later edits patch in place.
-  // The stale-mark fallback (options.dynamic off) lands here too and
-  // rebuilds the ordinary batch network over the live set.
+  // both layouts want dense all-live arrays -- and adopts the flat
+  // splice-able layout so later edits patch in place. Never-edited oracles
+  // build the segment-tree layout. Either way the graph's level kernel
+  // follows the global SIMD dispatch (Dinic::reinit's default).
   if (dyn_mode) compact_slots();
-  const bool dynamic_layout = dyn_mode && options.dynamic;
   if (integer_mode) {
-    if (dynamic_layout)
+    if (dyn_mode)
       inet.build_dynamic(counters);
     else
-      inet.build(options.compress, counters);
-    inet.graph.set_level_kernel(inet.accel ? -1 : 0);
+      inet.build(counters);
   } else {
-    if (dynamic_layout)
+    if (dyn_mode)
       rnet.build_dynamic(counters);
     else
-      rnet.build(options.compress, counters);
-    rnet.graph.set_level_kernel(rnet.accel ? -1 : 0);
+      rnet.build(counters);
   }
 
   obs::Registry& registry = obs::Registry::global();
   registry.counter("oracle.builds").add();
-  if (dynamic_layout) {
+  if (dyn_mode) {
     registry.counter("dyn.rebuilds").add();
-    registry.counter("oracle.direct_edges").add(counters.direct_edges);
-  } else if (options.compress) {
-    registry.counter("oracle.tree_edges").add(counters.tree_edges);
-    registry.counter("oracle.direct_edges").add(counters.direct_edges);
   } else {
-    registry.counter("oracle.dense_edges").add(counters.dense_edges);
+    registry.counter("oracle.tree_edges").add(counters.tree_edges);
   }
+  registry.counter("oracle.direct_edges").add(counters.direct_edges);
   if (obs::trace_enabled()) {
     obs::trace_event("oracle", "build",
                      {{"jobs", job_count},
                       {"segments", static_cast<std::int64_t>(counters.segments)},
                       {"integer_mode", integer_mode},
-                      {"compressed", options.compress},
                       {"tree_edges",
                        static_cast<std::int64_t>(counters.tree_edges)},
                       {"direct_edges",
                        static_cast<std::int64_t>(counters.direct_edges)},
-                      {"dense_edges",
-                       static_cast<std::int64_t>(counters.dense_edges)},
                       {"load_lb", density_lb}});
   }
 }
@@ -1279,13 +1255,14 @@ Instance FeasibilityOracle::Impl::materialize() const {
 
 // Computes the certified sandwich lo <= OPT <= hi once and folds it into
 // the monotone verdict memo (everything below lo is infeasible by the load
-// argument, hi carries a validated schedule witness), so both the oracle's
-// own search and the query engine's bracket start pre-narrowed.
+// argument, hi carries a validated schedule witness), so the oracle's own
+// search and bound_sandwich() callers start pre-narrowed.
 const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
   if (sandwich_done) return sandwich_cache;
   sandwich_done = true;
   BoundSandwich& s = sandwich_cache;
   if (empty || !well_formed) return s;  // degenerate {0, 0}
+  ensure_normalized();
   obs::ScopedLatency latency("hist.bound_ns");
   obs::Registry& registry = obs::Registry::global();
 
@@ -1305,8 +1282,7 @@ const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
       if (integer_mode) {
         const LiveArrays<__int128> v = live_view(inet, slot_live);
         lo = std::max(lo, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points,
-                                             inet.accel));
+                                             v.processing, v.points));
       } else {
         const LiveArrays<Rat> v = live_view(rnet, slot_live);
         lo = std::max(lo, prefiltered_sweep_bound(v.release, v.deadline,
@@ -1323,7 +1299,7 @@ const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
   }
   s.certificate.density_lb = density_lb;
   s.certificate.load_lb = lo;
-  if (options.sweep_bound && !lb_cache) lb_cache = lo;
+  if (!lb_cache) lb_cache = lo;
   lo = std::max(lo, max_infeasible + 1);
   std::int64_t hi = min_feasible;
 
@@ -1389,13 +1365,11 @@ bool FeasibilityOracle::Impl::probe(std::int64_t machines) {
       // re-augments only the deficit the edit opened).
       obs::ProfileSpan repair("flow_repair");
       pending_repair = false;
-      result = integer_mode
-                   ? inet.probe(machines, options.warm_start, warm)
-                   : rnet.probe(machines, options.warm_start, warm);
+      result = integer_mode ? inet.probe(machines, warm)
+                            : rnet.probe(machines, warm);
     } else {
-      result = integer_mode
-                   ? inet.probe(machines, options.warm_start, warm)
-                   : rnet.probe(machines, options.warm_start, warm);
+      result = integer_mode ? inet.probe(machines, warm)
+                            : rnet.probe(machines, warm);
     }
   }
   registry.counter(warm ? "oracle.warm_probes" : "oracle.cold_probes").add();
@@ -1415,9 +1389,10 @@ bool FeasibilityOracle::Impl::probe(std::int64_t machines) {
 
 std::int64_t FeasibilityOracle::Impl::lower_bound() {
   if (lb_cache) return *lb_cache;
+  ensure_normalized();
   refresh_dyn_bounds();
   std::int64_t lb = empty ? 0 : density_lb;
-  if (options.sweep_bound && !empty && well_formed) {
+  if (!empty && well_formed) {
     obs::ProfileSpan span("sweep_bound");
     obs::Registry& registry = obs::Registry::global();
     obs::ScopedTimer timer(registry.timing("oracle.sweep_ns"));
@@ -1429,21 +1404,17 @@ std::int64_t FeasibilityOracle::Impl::lower_bound() {
       if (integer_mode) {
         const LiveArrays<__int128> v = live_view(inet, slot_live);
         lb = std::max(lb, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points,
-                                             inet.accel));
+                                             v.processing, v.points));
       } else {
         const LiveArrays<Rat> v = live_view(rnet, slot_live);
         lb = std::max(lb, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points,
-                                             rnet.accel));
+                                             v.processing, v.points));
       }
     } else {
       lb = std::max(lb, integer_mode ? inet.sweep_bound() : rnet.sweep_bound());
     }
     // The sweep bound is certified (Theorem 1's easy direction), so every
-    // machine count below it is infeasible without probing. The legacy
-    // path skips this to stay probe-for-probe faithful to the pre-PR
-    // search.
+    // machine count below it is infeasible without probing.
     max_infeasible = std::max(max_infeasible, lb - 1);
   }
   lb_cache = lb;
@@ -1476,10 +1447,8 @@ void FeasibilityOracle::Impl::enter_dyn_mode() {
 // and are compacted away at the next build.
 void FeasibilityOracle::Impl::fall_back_to_rational() {
   obs::Registry::global().counter("dyn.grid_fallbacks").add();
-  const bool accel = inet.accel;
   const std::size_t n = inet.release.size();
   rnet.reset_net();
-  rnet.accel = accel;
   rnet.release.reserve(n);
   rnet.deadline.reserve(n);
   rnet.processing.reserve(n);
@@ -1590,9 +1559,9 @@ JobId FeasibilityOracle::Impl::insert(const Job& job) {
         "insert_job: oracle holds a malformed instance");
   if (!job.well_formed())
     throw std::invalid_argument("insert_job: malformed job");
+  ensure_normalized();
   obs::ProfileSpan span("dyn_insert");
-  obs::Registry& registry = obs::Registry::global();
-  registry.counter("dyn.inserts").add();
+  obs::Registry::global().counter("dyn.inserts").add();
 
   // First job ever (oracle constructed empty): decide the grid mode here,
   // from this job, the way the batch constructor would.
@@ -1607,11 +1576,6 @@ JobId FeasibilityOracle::Impl::insert(const Job& job) {
     integer_mode =
         small(job.release) && small(job.deadline) && small(job.processing);
     grid_scale = Rat(1);
-    const bool accel = options.simd && util::simd::active();
-    if (integer_mode)
-      inet.accel = accel;
-    else
-      rnet.accel = accel;
   }
   enter_dyn_mode();
 
@@ -1670,32 +1634,7 @@ JobId FeasibilityOracle::Impl::insert(const Job& job) {
   min_feasible = std::min(job_count, min_feasible + 1);
   invalidate_after_edit();
 
-  if (network_built) {
-    auto after_splice = [&](const auto& net) {
-      if (net.dyn.dead_edges > net.dyn.live_edges + 64) {
-        // Dead-edge debt exceeds the live set: fold the zero-capacity
-        // edges away with a fresh compacted build on the next probe.
-        network_built = false;
-        pending_repair = false;
-      } else {
-        registry.counter("dyn.rebuilds_avoided").add();
-        pending_repair = true;
-      }
-    };
-    if (!options.dynamic) {
-      network_built = false;  // stale-mark: next probe rebuilds (live set)
-    } else if (integer_mode && inet.dyn.active) {
-      inet.splice_insert(slot);
-      after_splice(inet);
-    } else if (!integer_mode && rnet.dyn.active) {
-      rnet.splice_insert(slot);
-      after_splice(rnet);
-    } else {
-      // Batch layout in place: convert to the spliceable layout lazily on
-      // the next probe (coalesces any further edits before it for free).
-      network_built = false;
-    }
-  }
+  splice(slot, /*insert=*/true);
   return id;
 }
 
@@ -1703,12 +1642,17 @@ void FeasibilityOracle::Impl::remove(JobId id) {
   if (!well_formed)
     throw std::invalid_argument(
         "remove_job: oracle holds a malformed instance");
-  obs::ProfileSpan span("dyn_remove");
-  obs::Registry& registry = obs::Registry::global();
-  registry.counter("dyn.removes").add();
-  enter_dyn_mode();
-  if (id >= slot_of_id.size() || slot_of_id[id] < 0)
+  // Validate before touching any state: a rejected id must not count as a
+  // remove or switch a never-edited oracle to the dynamic layout. Before
+  // the first edit the live ids are exactly the constructor's indices.
+  const bool live = dyn_mode ? id < slot_of_id.size() && slot_of_id[id] >= 0
+                             : static_cast<std::int64_t>(id) < job_count;
+  if (!live)
     throw std::invalid_argument("remove_job: unknown or retired job id");
+  ensure_normalized();
+  obs::ProfileSpan span("dyn_remove");
+  obs::Registry::global().counter("dyn.removes").add();
+  enter_dyn_mode();
   const std::size_t slot = static_cast<std::size_t>(slot_of_id[id]);
   slot_of_id[id] = -1;
   slot_live[slot] = 0;
@@ -1732,28 +1676,38 @@ void FeasibilityOracle::Impl::remove(JobId id) {
     pending_repair = false;
     return;
   }
-  if (network_built) {
-    auto after_splice = [&](const auto& net) {
-      if (net.dyn.dead_edges > net.dyn.live_edges + 64) {
-        network_built = false;
-        pending_repair = false;
-      } else {
-        registry.counter("dyn.rebuilds_avoided").add();
-        pending_repair = true;
-      }
-    };
-    if (!options.dynamic) {
+  splice(slot, /*insert=*/false);
+}
+
+// Applies an edit of `slot` to a built network. A spliceable layout is
+// patched in place and repaired warm by the next probe; a batch layout is
+// rebuilt as the spliceable one on the next probe instead (coalescing any
+// further edits before it for free).
+void FeasibilityOracle::Impl::splice(std::size_t slot, bool insert) {
+  if (!network_built) return;
+  auto apply = [&](auto& net) {
+    if (!net.dyn.active) {
       network_built = false;
-    } else if (integer_mode && inet.dyn.active) {
-      inet.splice_remove(slot);
-      after_splice(inet);
-    } else if (!integer_mode && rnet.dyn.active) {
-      rnet.splice_remove(slot);
-      after_splice(rnet);
-    } else {
-      network_built = false;
+      return;
     }
-  }
+    if (insert)
+      net.splice_insert(slot);
+    else
+      net.splice_remove(slot);
+    if (net.dyn.dead_edges > net.dyn.live_edges + 64) {
+      // Dead-edge debt exceeds the live set: fold the zero-capacity edges
+      // away with a fresh compacted build on the next probe.
+      network_built = false;
+      pending_repair = false;
+    } else {
+      obs::Registry::global().counter("dyn.rebuilds_avoided").add();
+      pending_repair = true;
+    }
+  };
+  if (integer_mode)
+    apply(inet);
+  else
+    apply(rnet);
 }
 
 bool FeasibilityOracle::feasible(std::int64_t machines) {
@@ -1764,7 +1718,7 @@ bool FeasibilityOracle::feasible(std::int64_t machines) {
     obs::Registry::global().counter("oracle.memo_hits").add();
     return machines >= im.min_feasible;
   }
-  if (im.bounds_active()) {
+  if (bounds_tier_enabled()) {
     // First sandwich use folds [lo, hi) into the memo, so only the
     // triggering call lands here; later out-of-bracket probes are memo
     // hits. Either way the answer is certified without touching Dinic.
@@ -1806,7 +1760,7 @@ std::int64_t FeasibilityOracle::load_lower_bound() const {
 BoundSandwich FeasibilityOracle::bound_sandwich() {
   Impl& im = *impl_;
   if (im.empty || !im.well_formed) return {};
-  if (im.bounds_active()) return im.sandwich();
+  if (bounds_tier_enabled()) return im.sandwich();
   // Tier off: the degenerate bracket the pre-tier search used -- certified
   // infeasible strictly below the load bound / memo floor, certified
   // feasible at min_feasible (initially n, one job per machine).
@@ -1858,34 +1812,22 @@ std::int64_t FeasibilityOracle::optimal_machines() {
   // Bound tier: the sandwich folds into the memo, so a pinched sandwich
   // makes both loops below vacuous (OPT returned with zero probes and no
   // network build) and an open one pre-narrows the bracket to [lo, hi).
-  if (im.bounds_active() && !memo_tight) (void)im.sandwich();
+  if (bounds_tier_enabled() && !memo_tight) (void)im.sandwich();
   obs::Registry& registry = obs::Registry::global();
   const std::int64_t lb =
       memo_tight ? im.max_infeasible + 1 : im.lower_bound();
 
-  if (!im.options.warm_start) {
-    // Pre-warm-start search: gallop by doubling from the load lower bound
-    // until feasible (n always is), then binary-search the bracket;
-    // feasible() keeps the bracket in its memo.
-    std::int64_t m = std::max<std::int64_t>(im.max_infeasible + 1, lb);
-    while (m < im.job_count && !feasible(m)) {
-      registry.counter("oracle.gallop_steps").add();
-      m = std::min<std::int64_t>(im.job_count, 2 * m);
-    }
-    if (m >= im.job_count) (void)feasible(m);  // records the memo endpoint
-  } else {
-    // Warm ascent: probe lb, lb+1, lb+3, lb+7, ... -- every probe is at a
-    // higher m than the last, so each one extends the routed flow instead
-    // of re-solving. With the sweep bound the first probe usually
-    // succeeds and certifies OPT outright (everything below lb is
-    // infeasible by the load argument).
-    std::int64_t m = std::max<std::int64_t>(im.max_infeasible + 1, lb);
-    std::int64_t step = 1;
-    while (m < im.min_feasible && !feasible(m)) {
-      registry.counter("oracle.gallop_steps").add();
-      m = std::min<std::int64_t>(im.min_feasible, m + step);
-      step *= 2;
-    }
+  // Warm ascent: probe lb, lb+1, lb+3, lb+7, ... -- every probe is at a
+  // higher m than the last, so each one extends the routed flow instead of
+  // re-solving. With the sweep bound the first probe usually succeeds and
+  // certifies OPT outright (everything below lb is infeasible by the load
+  // argument).
+  std::int64_t m = std::max<std::int64_t>(im.max_infeasible + 1, lb);
+  std::int64_t step = 1;
+  while (m < im.min_feasible && !feasible(m)) {
+    registry.counter("oracle.gallop_steps").add();
+    m = std::min<std::int64_t>(im.min_feasible, m + step);
+    step *= 2;
   }
   // Close any remaining bracket (overshot gallop): descending probes reset
   // the flow (capacities shrink), so these are the cold ones.

@@ -10,7 +10,7 @@ namespace minmach::obs {
 
 void drain_hot_tallies() {
   // Piggyback the span-profiler drain on every tally drain point
-  // (parallel_map workers, speculation lanes, Registry::snapshot), so a
+  // (parallel_map workers, Registry::snapshot), so a
   // profiled parallel run folds every thread's span tree exactly once.
   profile_drain_thread();
   HotTallies& t = hot_tallies();
@@ -106,8 +106,8 @@ Histogram& Registry::timing(const std::string& name) {
 
 bool is_exec_metric(std::string_view name) {
   static constexpr std::string_view kPrefixes[] = {
-      "oracle.", "flow.", "cache.", "speculate.", "bigint.", "rat.", "mem.",
-      "simd.", "profile.", "hist.", "bounds.", "dyn.", "store."};
+      "oracle.", "flow.", "cache.", "bigint.", "rat.", "mem.", "simd.",
+      "profile.", "hist.", "bounds.", "dyn.", "store."};
   for (std::string_view prefix : kPrefixes) {
     if (name.substr(0, prefix.size()) == prefix) return true;
   }

@@ -27,7 +27,7 @@
 //
 // Snapshots also separate EXECUTION-CLASS metrics (see is_exec_metric):
 // counters that describe how the work was executed -- oracle probes, flow
-// passes, cache hits, speculation rounds, arithmetic/memory tallies --
+// passes, cache hits, arithmetic/memory tallies --
 // rather than what was computed. With the global OPT cache (DESIGN.md §11)
 // a hit skips a probe and all the arithmetic inside it, so these totals
 // legitimately depend on cache state and probe interleaving; they live in
@@ -97,8 +97,10 @@ void drain_hot_tallies();
 #define MINMACH_OBS_TALLY_ADD(field, delta) \
   (::minmach::obs::hot_tallies().field += (delta))
 #else
+// `delta` is still evaluated: call sites pass kernel calls whose side
+// effects are the point (util/simd.cpp).
 #define MINMACH_OBS_TALLY(field) ((void)0)
-#define MINMACH_OBS_TALLY_ADD(field, delta) ((void)0)
+#define MINMACH_OBS_TALLY_ADD(field, delta) ((void)(delta))
 #endif
 
 // ---- registered metrics ------------------------------------------------
@@ -212,11 +214,11 @@ class ScopedTimer {
 // ---- snapshots ---------------------------------------------------------
 
 // True for metrics describing HOW work was executed (probe counts, flow
-// passes, cache traffic, speculation rounds, arithmetic and memory
-// tallies, SIMD lane usage, profiler spans, latency histograms): name
-// prefixes oracle. / flow. / cache. / speculate. / bigint. / rat. / mem. /
-// simd. / profile. / hist. / bounds.. Snapshots segregate these (see file
-// comment)
+// passes, cache traffic, arithmetic and memory tallies, SIMD lane usage,
+// profiler spans, latency histograms, bound-tier, dynamic-edit and store
+// tallies): name prefixes oracle. / flow. / cache. / bigint. / rat. /
+// mem. / simd. / profile. / hist. / bounds. / dyn. / store.. Snapshots
+// segregate these (see file comment)
 // because the OPT cache makes them dependent on cache state and
 // interleaving.
 // Classification is by name, not by a flag at registration, so a counter

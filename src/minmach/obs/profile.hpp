@@ -1,6 +1,6 @@
 // Hierarchical span profiler (DESIGN.md §13). Answers "where does OPT wall
 // time go" across the pipeline phases -- canonicalize -> cache lookup ->
-// oracle build -> sweep bound -> probe -> Dinic BFS/DFS -> speculation --
+// oracle build -> sweep bound -> probe -> Dinic BFS/DFS --
 // with an overhead budget of one relaxed atomic load per would-be span when
 // profiling is off (the default), so instrumented hot paths stay within the
 // <= 2% bar the tallies layer set.
@@ -21,8 +21,8 @@
 //        children. Timing histograms land in Snapshot::timings, which the
 //        deterministic serialization already excludes.
 //    drain_hot_tallies() calls profile_drain_thread(), so every place that
-//    already drains arithmetic tallies (parallel_map workers, speculation
-//    lanes, Registry::snapshot) drains spans for free.
+//    already drains arithmetic tallies (parallel_map workers,
+//    Registry::snapshot) drains spans for free.
 //  * Attribution (profile_attribution) and the Chrome exporter
 //    (save_profile_chrome_trace) are pure functions of a Snapshot: the
 //    span tree is reconstructed from the flat "profile.*" names, so any

@@ -69,7 +69,7 @@ void SessionEngine::ingest(const std::vector<Event>& batch) {
   for (std::uint64_t s = 0; s < buckets.size(); ++s) {
     if (buckets[s].empty()) continue;
     touched.push_back(s);
-    if (!sessions_[s]) sessions_[s] = std::make_unique<Session>(options_.session);
+    if (!sessions_[s]) sessions_[s] = std::make_unique<Session>();
   }
 
   const std::size_t threads =

@@ -32,7 +32,6 @@ struct Event {
 struct EngineOptions {
   // Worker count for ingest(); <= 0 means all hardware threads.
   std::int64_t threads = -1;
-  SessionOptions session{};
 };
 
 class SessionEngine {

@@ -9,10 +9,9 @@ namespace minmach::svc {
 
 // The svc.* counters are semantic event counts (not execution-class): they
 // are functions of the ingested stream alone, identical at any thread count
-// or oracle configuration, so they may appear in deterministic reports.
+// or cache state, so they may appear in deterministic reports.
 
-Session::Session(const SessionOptions& options)
-    : oracle_(Instance{}, options.oracle) {}
+Session::Session() : oracle_(Instance{}) {}
 
 void Session::on_release(std::int64_t job, const Job& payload) {
   if (jobs_.count(job) != 0)

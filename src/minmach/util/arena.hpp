@@ -29,9 +29,9 @@
 // real heap allocation per request, freed on rollback -- reproducing the
 // seed's per-temporary allocation profile. bench/m01_memory_substrate.cpp
 // uses it as the pre-PR baseline the acceptance thresholds are measured
-// against (same precedent as OracleOptions::legacy() for the oracle). The
-// flag also switches the simulator's run pooling and the flow layer's
-// buffer reuse off; see the call sites in sim/engine.cpp and flow/dinic.hpp.
+// against. The flag also switches the simulator's run pooling and the flow
+// layer's buffer reuse off; see the call sites in sim/engine.cpp and
+// flow/dinic.hpp.
 //
 // Determinism: the "mem.arena_bytes" / "mem.heap_allocs" tallies count
 // *requests* (a pure function of the workload). Physical chunk growth is

@@ -1,8 +1,7 @@
 // Process-wide cache of exact feasibility verdicts and OPT values, keyed by
-// the affine-canonical instance fingerprint (core/canonical.hpp). This is
-// the storage half of the query engine (DESIGN.md §11): FeasibilityOracle
-// consults it per probe, optimal_machines() and flow/query.hpp consult it
-// per search.
+// the affine-canonical instance fingerprint (core/canonical.hpp), see
+// DESIGN.md §11. FeasibilityOracle consults it per probe, and
+// optimal_machines() consults it per search.
 //
 // Design:
 //  * Sharded: 16 shards, each guarded by its own mutex (striped locking);

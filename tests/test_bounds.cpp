@@ -1,7 +1,8 @@
 // Differential tests for the bound tier (DESIGN.md §14): the certified
 // sandwich lo <= OPT <= hi must be sound on every instance family, the
-// bounds-on oracle must agree with OracleOptions::legacy() probe for probe,
-// the packing upper bound must hold under both audit modes, and the
+// bounds-on oracle must agree probe for probe with an independent dense
+// Horn network (reference_horn.hpp), the packing upper bound must hold
+// under both audit modes, and the
 // prefiltered rational sweep must never exceed the exact single-interval
 // bound it approximates.
 #include "minmach/core/bounds.hpp"
@@ -19,6 +20,7 @@
 #include "minmach/flow/feasibility.hpp"
 #include "minmach/gen/generators.hpp"
 #include "minmach/util/rng.hpp"
+#include "reference_horn.hpp"
 
 namespace minmach {
 namespace {
@@ -90,10 +92,9 @@ std::vector<Instance> test_instances() {
 TEST(BoundSandwich, SoundOnAllFamilies) {
   ASSERT_TRUE(bounds_tier_enabled());
   for (const Instance& instance : test_instances()) {
-    FeasibilityOracle reference(instance, OracleOptions::legacy());
-    const std::int64_t opt = reference.optimal_machines();
+    const std::int64_t opt = reference::horn_optimal_machines(instance);
 
-    FeasibilityOracle oracle(instance);  // defaults: bounds on
+    FeasibilityOracle oracle(instance);  // bound tier on (library default)
     const BoundSandwich sandwich = oracle.bound_sandwich();
     EXPECT_LE(sandwich.lo, opt) << "n=" << instance.size();
     EXPECT_LE(opt, sandwich.hi) << "n=" << instance.size();
@@ -110,17 +111,19 @@ TEST(BoundSandwich, SoundOnAllFamilies) {
   }
 }
 
-// bounds=on and legacy() agree probe for probe across the whole bracket,
-// including the out-of-bracket verdicts the sandwich answers for free.
+// The bound-tier oracle and the reference network agree probe for probe
+// across the whole bracket, including the out-of-bracket verdicts the
+// sandwich answers for free.
 TEST(BoundSandwich, ExactProbeForProbeAgainstLegacy) {
   for (const Instance& instance : test_instances()) {
-    FeasibilityOracle reference(instance, OracleOptions::legacy());
     FeasibilityOracle oracle(instance);
-    const std::int64_t opt = reference.optimal_machines();
+    const std::int64_t opt = reference::horn_optimal_machines(instance);
     EXPECT_EQ(oracle.optimal_machines(), opt);
     const std::int64_t lo = std::max<std::int64_t>(0, opt - 2);
-    for (std::int64_t m = lo; m <= opt + 2; ++m)
-      EXPECT_EQ(oracle.feasible(m), reference.feasible(m)) << "m=" << m;
+    for (std::int64_t m = lo; m <= opt + 2; ++m) {
+      EXPECT_EQ(oracle.feasible(m), reference::horn_feasible(instance, m))
+          << "m=" << m;
+    }
   }
 }
 
@@ -169,8 +172,7 @@ TEST(BoundSandwich, GlobalGateDisablesTierButNotAnswers) {
 TEST(PackUpperBound, AuditModesAgree) {
   for (const Instance& instance : test_instances()) {
     if (instance.empty()) continue;
-    FeasibilityOracle reference(instance, OracleOptions::legacy());
-    const std::int64_t opt = reference.optimal_machines();
+    const std::int64_t opt = reference::horn_optimal_machines(instance);
     PackUbOptions schedule_audit;
     schedule_audit.audit_schedule = true;
     PackUbOptions direct_audit;
@@ -224,8 +226,7 @@ TEST(PrefilteredSweep, CertifiedAgainstExactSweep) {
                          })
             .machines;
     EXPECT_LE(approx, exact) << "n=" << instance.size();
-    FeasibilityOracle reference(instance, OracleOptions::legacy());
-    EXPECT_LE(approx, reference.optimal_machines());
+    EXPECT_LE(approx, reference::horn_optimal_machines(instance));
   }
 }
 
@@ -258,8 +259,7 @@ TEST(CertifiedLowerBound, PartsAreConsistent) {
     }
     EXPECT_GE(parts.machines, 1);
     EXPECT_EQ(parts.machines, std::max(parts.density, parts.sweep));
-    FeasibilityOracle reference(instance, OracleOptions::legacy());
-    EXPECT_LE(parts.machines, reference.optimal_machines());
+    EXPECT_LE(parts.machines, reference::horn_optimal_machines(instance));
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "minmach/flow/feasibility.hpp"
+#include "minmach/gen/generators.hpp"
+#include "minmach/util/rng.hpp"
+#include "reference_horn.hpp"
+
 namespace minmach {
 namespace {
 
@@ -80,6 +85,35 @@ TEST(LoadBound, EmptyInstance) {
   auto exhaustive = load_bound_exhaustive(Instance());
   ASSERT_TRUE(exhaustive.has_value());
   EXPECT_EQ(exhaustive->machines, 0);
+}
+
+// Theorem 1 three ways on e02-shaped instances (n = 6, horizon 12, windows
+// <= 8, grid 1/2: at most 11 elementary segments, so the union enumeration
+// is exact): the production oracle's OPT, the reference network's OPT, and
+// the maximum interval-union load must all coincide.
+TEST(Theorem1, OracleEqualsReferenceEqualsExhaustiveLoad) {
+  struct Family {
+    const char* name;
+    Instance (*generate)(Rng&, const GenConfig&);
+  };
+  const Family families[] = {{"general", gen_general},
+                             {"agreeable", gen_agreeable},
+                             {"laminar", gen_laminar},
+                             {"unit", gen_unit}};
+  const GenConfig config{6, 12, 8, 2};
+  for (const Family& family : families) {
+    Rng rng(1);
+    for (int trial = 0; trial < 25; ++trial) {
+      const Instance in = family.generate(rng, config);
+      const std::int64_t opt = FeasibilityOracle(in).optimal_machines();
+      const auto exhaustive = load_bound_exhaustive(in, 20);
+      ASSERT_TRUE(exhaustive.has_value()) << family.name << " " << trial;
+      EXPECT_EQ(opt, reference::horn_optimal_machines(in))
+          << family.name << " " << in.to_string();
+      EXPECT_EQ(opt, exhaustive->machines)
+          << family.name << " " << in.to_string();
+    }
+  }
 }
 
 }  // namespace

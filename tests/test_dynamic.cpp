@@ -1,8 +1,9 @@
 // Differential tests for the fully-dynamic FeasibilityOracle (DESIGN.md
 // section 15) and the svc session layer: every edit sequence, over every
-// instance family, must agree with a from-scratch batch oracle on the live
-// job set -- OPT, verdicts, and (with the splice path on, cache off, tier
-// off) it must never execute more probes per query than the batch oracle.
+// instance family, must agree with an independent dense Horn network on the
+// live job set (reference_horn.hpp) -- OPT and verdicts -- and (cache off,
+// tier off) it must never execute more probes per query than a
+// from-scratch batch oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,10 +15,12 @@
 #include "minmach/core/transforms.hpp"
 #include "minmach/flow/feasibility.hpp"
 #include "minmach/gen/generators.hpp"
+#include "minmach/obs/metrics.hpp"
 #include "minmach/svc/engine.hpp"
 #include "minmach/svc/replay.hpp"
 #include "minmach/svc/session.hpp"
 #include "minmach/util/rng.hpp"
+#include "reference_horn.hpp"
 
 namespace minmach {
 namespace {
@@ -33,7 +36,7 @@ Instance force_rational_mode(const Instance& in) {
 }
 
 // Mirrors the dynamic oracle with plain bookkeeping: the set of live jobs,
-// rebuilt into a fresh batch oracle per check.
+// rebuilt into a fresh Instance per check.
 struct Mirror {
   std::vector<std::pair<JobId, Job>> live;
 
@@ -62,11 +65,10 @@ Mirror mirror_of(const Instance& base) {
 }
 
 // Runs a seeded random edit sequence against `oracle`, comparing OPT (and
-// spot verdicts around it) with a fresh batch oracle after every edit.
+// spot verdicts around it) with the reference network after every edit.
 // `mirror` must already reflect the oracle's live set.
 void differential_edits(FeasibilityOracle& oracle, Mirror& mirror,
-                        std::uint64_t seed, int edits,
-                        const OracleOptions& batch_options = {}) {
+                        std::uint64_t seed, int edits) {
   Rng rng(seed);
   GenConfig pool_config{1, 60, 16, 4};
   for (int e = 0; e < edits; ++e) {
@@ -81,8 +83,8 @@ void differential_edits(FeasibilityOracle& oracle, Mirror& mirror,
       oracle.remove_job(id);
       mirror.remove(id);
     }
-    FeasibilityOracle batch(mirror.instance(), batch_options);
-    const std::int64_t expected = batch.optimal_machines();
+    const std::int64_t expected =
+        reference::horn_optimal_machines(mirror.instance());
     ASSERT_EQ(oracle.optimal_machines(), expected)
         << "edit " << e << ", " << mirror.live.size() << " live jobs";
     ASSERT_EQ(oracle.live_jobs(),
@@ -136,8 +138,8 @@ TEST(DynamicOracle, DifferentialRationalGrid) {
       oracle.remove_job(mirror.live[pick].first);
       mirror.remove(mirror.live[pick].first);
     }
-    FeasibilityOracle batch(mirror.instance());
-    ASSERT_EQ(oracle.optimal_machines(), batch.optimal_machines());
+    ASSERT_EQ(oracle.optimal_machines(),
+              reference::horn_optimal_machines(mirror.instance()));
   }
 }
 
@@ -153,10 +155,8 @@ TEST(DynamicOracle, GridFallbackMidStream) {
   mirror.insert(0, mk(0, 10, 4));
   mirror.insert(1, mk(2, 6, 3));
   mirror.insert(id, odd);
-  {
-    FeasibilityOracle batch(mirror.instance());
-    ASSERT_EQ(oracle.optimal_machines(), batch.optimal_machines());
-  }
+  ASSERT_EQ(oracle.optimal_machines(),
+            reference::horn_optimal_machines(mirror.instance()));
   // Edits keep working after the fallback.
   differential_edits(oracle, mirror, 93, 12);
 }
@@ -176,26 +176,6 @@ TEST(DynamicOracle, CompressionCounterexampleStaysExact) {
   oracle.remove_job(long_job);
   EXPECT_EQ(oracle.optimal_machines(), 0);
   EXPECT_EQ(oracle.live_jobs(), 0);
-}
-
-TEST(DynamicOracle, ColdRebuildFallbackAgrees) {
-  // options.dynamic off: edits stale-mark the network and the next probe
-  // rebuilds over the live set -- the splice path's reference.
-  OracleOptions options;
-  options.dynamic = false;
-  Rng rng(23);
-  const Instance base = gen_general(rng, {10, 60, 16, 2});
-  FeasibilityOracle oracle(base, options);
-  Mirror mirror = mirror_of(base);
-  differential_edits(oracle, mirror, 57, 24);
-}
-
-TEST(DynamicOracle, LegacyOptionsAgree) {
-  Rng rng(29);
-  const Instance base = gen_general(rng, {8, 60, 16, 2});
-  FeasibilityOracle oracle(base, OracleOptions::legacy());
-  Mirror mirror = mirror_of(base);
-  differential_edits(oracle, mirror, 61, 16, OracleOptions::legacy());
 }
 
 TEST(DynamicOracle, MemoShiftsTrackOptAcrossEdits) {
@@ -223,14 +203,14 @@ TEST(DynamicOracle, MemoShiftsTrackOptAcrossEdits) {
 TEST(DynamicOracle, SlotReuseAndDeadEdgeCompaction) {
   // Enough retired edges to trip the dead > live + 64 compaction rebuild,
   // then fresh inserts recycling the freed slots. Answers must track the
-  // batch oracle through both.
+  // reference network through both.
   Rng rng(71);
   const Instance base = gen_general(rng, {60, 120, 30, 2});
   FeasibilityOracle oracle(base);
   Mirror mirror;
   for (JobId id = 0; id < base.size(); ++id) mirror.insert(id, base.job(id));
   ASSERT_EQ(oracle.optimal_machines(),
-            FeasibilityOracle(mirror.instance()).optimal_machines());
+            reference::horn_optimal_machines(mirror.instance()));
   // Retire most of the set, a few at a time, querying as we go.
   while (mirror.live.size() > 5) {
     for (int burst = 0; burst < 4 && mirror.live.size() > 5; ++burst) {
@@ -239,8 +219,8 @@ TEST(DynamicOracle, SlotReuseAndDeadEdgeCompaction) {
       oracle.remove_job(mirror.live[pick].first);
       mirror.remove(mirror.live[pick].first);
     }
-    FeasibilityOracle batch(mirror.instance());
-    ASSERT_EQ(oracle.optimal_machines(), batch.optimal_machines());
+    ASSERT_EQ(oracle.optimal_machines(),
+              reference::horn_optimal_machines(mirror.instance()));
   }
   // Refill: recycled slots must behave like fresh ones.
   differential_edits(oracle, mirror, 73, 20);
@@ -294,17 +274,44 @@ TEST(DynamicOracle, ProbeParityWithBatch) {
   set_bounds_tier_enabled(true);
 }
 
-TEST(DynamicOracle, NeverEditedOracleUnchanged) {
-  // The dynamic layout is only adopted on the first edit: a never-edited
-  // oracle runs the exact same batch path whatever options.dynamic says.
-  Rng rng(101);
-  const Instance base = gen_general(rng, {20, 80, 20, 2});
-  OracleOptions no_dynamic;
-  no_dynamic.dynamic = false;
-  FeasibilityOracle with(base);
-  FeasibilityOracle without(base, no_dynamic);
-  ASSERT_EQ(with.optimal_machines(), without.optimal_machines());
-  ASSERT_EQ(with.probes_executed(), without.probes_executed());
+TEST(DynamicOracle, RejectedRemoveLeavesOracleUnchanged) {
+  // A remove_job that throws must not count as a remove or move a
+  // never-edited oracle off the segment-tree layout: its next OPT builds
+  // exactly the network a fresh oracle builds. Tier off so OPT needs the
+  // network at all.
+  set_bounds_tier_enabled(false);
+  Rng rng(77);
+  const Instance base = gen_general(rng, {25, 80, 20, 2});
+  struct Tallies {
+    std::uint64_t removes, rebuilds, tree_edges;
+  };
+  const auto build_tallies = [&](bool reject_first) {
+    obs::Registry& registry = obs::Registry::global();
+    const auto read = [&] {
+      return Tallies{registry.counter("dyn.removes").value(),
+                     registry.counter("dyn.rebuilds").value(),
+                     registry.counter("oracle.tree_edges").value()};
+    };
+    const Tallies before = read();
+    FeasibilityOracle oracle(base);
+    if (reject_first) {
+      EXPECT_THROW(oracle.remove_job(999), std::invalid_argument);
+    }
+    EXPECT_EQ(oracle.optimal_machines(),
+              reference::horn_optimal_machines(base));
+    EXPECT_EQ(oracle.live_jobs(), static_cast<std::int64_t>(base.size()));
+    const Tallies after = read();
+    return Tallies{after.removes - before.removes,
+                   after.rebuilds - before.rebuilds,
+                   after.tree_edges - before.tree_edges};
+  };
+  const Tallies fresh = build_tallies(false);
+  const Tallies rejected = build_tallies(true);
+  EXPECT_GT(fresh.tree_edges, 0u);
+  EXPECT_EQ(rejected.removes, fresh.removes);
+  EXPECT_EQ(rejected.rebuilds, fresh.rebuilds);
+  EXPECT_EQ(rejected.tree_edges, fresh.tree_edges);
+  set_bounds_tier_enabled(true);
 }
 
 // ---- svc: session + engine + replay -----------------------------------
@@ -380,7 +387,8 @@ TEST(SvcEngine, ByteIdenticalReportAcrossThreadCounts) {
   const std::string report_1t = svc::replay_events(stream, one);
   const std::string report_4t = svc::replay_events(stream, four);
   EXPECT_EQ(report_1t, report_4t);
-  // And the answers are the batch oracle's: replay one session by hand.
+  // And the answers are the reference network's: replay one session by
+  // hand.
   svc::SessionEngine engine(one);
   engine.ingest(stream);
   Mirror mirror;
@@ -392,8 +400,7 @@ TEST(SvcEngine, ByteIdenticalReportAcrossThreadCounts) {
     } else if (event.kind == svc::Event::Kind::kComplete) {
       mirror.remove(static_cast<JobId>(event.job));
     } else {
-      FeasibilityOracle batch(mirror.instance());
-      expected.push_back(batch.optimal_machines());
+      expected.push_back(reference::horn_optimal_machines(mirror.instance()));
     }
   }
   EXPECT_EQ(engine.answers(3), expected);

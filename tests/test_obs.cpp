@@ -207,8 +207,8 @@ TEST(Metrics, ParallelMergeIsThreadCountInvariant) {
   Registry::global().reset();
 }
 
-// Execution-class metrics (oracle.*, flow.*, cache.*, speculate.*,
-// bigint.*, rat.*, mem.*, simd.*) measure HOW an answer was computed -- a
+// Execution-class metrics (oracle.*, flow.*, cache.*, bigint.*, rat.*,
+// mem.*, simd.*) measure HOW an answer was computed -- a
 // warm cache skips probes and all the arithmetic inside them, a SIMD
 // kernel counts lanes the scalar path never sees -- so snapshots segregate
 // them from the semantic counters and to_json() omits them by default
@@ -218,7 +218,7 @@ TEST(Metrics, ExecClassMetricsAreSegregatedFromSemanticOnes) {
   EXPECT_TRUE(is_exec_metric("oracle.probes"));
   EXPECT_TRUE(is_exec_metric("flow.augmentations"));
   EXPECT_TRUE(is_exec_metric("cache.hits"));
-  EXPECT_TRUE(is_exec_metric("speculate.rounds"));
+  EXPECT_TRUE(is_exec_metric("cache.rounds"));
   EXPECT_TRUE(is_exec_metric("bigint.promotions"));
   EXPECT_TRUE(is_exec_metric("rat.fast_ops"));
   EXPECT_TRUE(is_exec_metric("mem.heap_allocs"));
@@ -239,23 +239,23 @@ TEST(Metrics, ExecClassMetricsAreSegregatedFromSemanticOnes) {
   r.reset();
   r.counter("cache.hits").add(3);
   r.counter("test.semantic").add(5);
-  r.histogram("speculate.depth").observe(2);
+  r.histogram("cache.depth").observe(2);
   r.histogram("test.hist").observe(1);
   Snapshot snap = r.snapshot();
   EXPECT_EQ(snap.exec_counters.at("cache.hits"), 3u);
   EXPECT_EQ(snap.counters.at("test.semantic"), 5u);
   EXPECT_EQ(snap.counters.count("cache.hits"), 0u);
-  EXPECT_EQ(snap.exec_histograms.at("speculate.depth").count, 1u);
-  EXPECT_EQ(snap.histograms.count("speculate.depth"), 0u);
+  EXPECT_EQ(snap.exec_histograms.at("cache.depth").count, 1u);
+  EXPECT_EQ(snap.histograms.count("cache.depth"), 0u);
 
   const std::string semantic_json = snap.to_json();
   EXPECT_EQ(semantic_json.find("cache.hits"), std::string::npos);
-  EXPECT_EQ(semantic_json.find("speculate.depth"), std::string::npos);
+  EXPECT_EQ(semantic_json.find("cache.depth"), std::string::npos);
   EXPECT_NE(semantic_json.find("test.semantic"), std::string::npos);
   const std::string full_json =
       snap.to_json(/*include_timings=*/false, /*include_exec=*/true);
   EXPECT_NE(full_json.find("cache.hits"), std::string::npos);
-  EXPECT_NE(full_json.find("speculate.depth"), std::string::npos);
+  EXPECT_NE(full_json.find("cache.depth"), std::string::npos);
   r.reset();
 }
 
@@ -461,7 +461,7 @@ TEST(Metrics, DynamicOracleTalliesClassifyAndMergeDeterministically) {
   Registry::global().reset();
 }
 
-// cache.* / speculate.* tallies merge deterministically across thread
+// cache.* tallies merge deterministically across thread
 // counts when the workload pins them down: a serial warm phase inserts
 // every key exactly once, then a parallel phase performs read-only all-hit
 // lookups, so hit/miss/insert totals are a pure function of the task set
@@ -482,8 +482,8 @@ TEST(Metrics, CacheAndSpeculateTalliesMergeDeterministically) {
     std::vector<std::int64_t> values =
         bench::parallel_map(tasks, threads, [&](std::size_t i) {
           std::optional<std::int64_t> hit = cache.lookup_opt(key(i));
-          r.counter("speculate.rounds").add(1);
-          r.counter("speculate.probes").add(i % 3);
+          r.counter("cache.rounds").add(1);
+          r.counter("cache.probes").add(i % 3);
           return hit.value_or(-1);
         });
     Snapshot snap = r.snapshot();
@@ -496,7 +496,7 @@ TEST(Metrics, CacheAndSpeculateTalliesMergeDeterministically) {
   Snapshot parallel = run(4);
   EXPECT_EQ(single.exec_counters.at("cache.inserts"), 16u);
   EXPECT_EQ(single.exec_counters.at("cache.hits"), 16u);
-  EXPECT_EQ(single.exec_counters.at("speculate.rounds"), 16u);
+  EXPECT_EQ(single.exec_counters.at("cache.rounds"), 16u);
   EXPECT_EQ(single, parallel);  // exec maps included: fully pinned workload
   EXPECT_EQ(single.to_json(), parallel.to_json());
   EXPECT_EQ(single.to_json(false, /*include_exec=*/true),

@@ -1,8 +1,9 @@
 // Differential tests for the scaled OPT oracle: the segment-tree-compressed
 // network, warm-started probes, and the sweep load bound must agree exactly
-// with their reference implementations (dense network, cold probes, pair
-// scan) on every instance family, including non-integer-grid (rational
-// mode) and adversarial strong-lower-bound instances.
+// with an independent dense Horn network (reference_horn.hpp) and with the
+// pair-scan load bound, on every instance family, including
+// non-integer-grid (rational mode) and adversarial strong-lower-bound
+// instances, with the bound tier on and off.
 #include "minmach/flow/feasibility.hpp"
 
 #include <gtest/gtest.h>
@@ -11,10 +12,12 @@
 
 #include "minmach/adversary/strong_lb.hpp"
 #include "minmach/algos/nonpreemptive.hpp"
+#include "minmach/core/bounds.hpp"
 #include "minmach/core/contribution.hpp"
 #include "minmach/core/transforms.hpp"
 #include "minmach/gen/generators.hpp"
 #include "minmach/util/rng.hpp"
+#include "reference_horn.hpp"
 
 namespace minmach {
 namespace {
@@ -63,16 +66,17 @@ std::vector<Instance> test_instances() {
   return out;
 }
 
-// All four oracle knob combinations that matter: each feature alone, all
-// on (default), all off (the pre-PR reference).
-std::vector<OracleOptions> option_grid() {
-  return {
-      OracleOptions{},                     // default: all on
-      OracleOptions::legacy(),             // reference
-      OracleOptions{true, false, false},   // compression only
-      OracleOptions{false, true, false},   // warm start only
-      OracleOptions{false, false, true},   // sweep bound only
-  };
+// Runs `body` with the bound tier on (the library default), then off, so
+// both the sandwich short-circuits and the network probes they would skip
+// are checked. Leaves the tier on.
+template <typename Body>
+void with_tier_on_and_off(Body body) {
+  for (bool tier : {true, false}) {
+    SCOPED_TRACE(tier ? "bound tier on" : "bound tier off");
+    set_bounds_tier_enabled(tier);
+    body();
+  }
+  set_bounds_tier_enabled(true);
 }
 
 TEST(SweepLoadBound, MatchesReferenceOnAllFamilies) {
@@ -96,38 +100,39 @@ TEST(SweepLoadBound, MalformedFallsBackToReference) {
   EXPECT_EQ(fast.witness.to_string(), slow.witness.to_string());
 }
 
-TEST(OracleOptions, OptimalMachinesAgreesAcrossAllKnobCombinations) {
+TEST(ReferenceHorn, OptimalMachinesAgreesOnAllFamilies) {
   for (const Instance& instance : test_instances()) {
-    std::int64_t reference = -1;
-    for (const OracleOptions& options : option_grid()) {
-      FeasibilityOracle oracle(instance, options);
-      std::int64_t opt = oracle.optimal_machines();
-      if (reference < 0) reference = opt;
-      EXPECT_EQ(opt, reference);
-    }
-    // And the one-shot entry point (default options).
-    EXPECT_EQ(optimal_migratory_machines(instance), reference);
+    const std::int64_t reference = reference::horn_optimal_machines(instance);
+    with_tier_on_and_off([&] {
+      FeasibilityOracle oracle(instance);
+      EXPECT_EQ(oracle.optimal_machines(), reference) << "n=" << instance.size();
+      EXPECT_EQ(optimal_migratory_machines(instance), reference);
+    });
   }
 }
 
-TEST(OracleOptions, FeasibleAgreesProbeByProbe) {
-  // Mixed ascending/descending probe sequences exercise warm starts,
-  // cold restarts, and the memo; every option combo must give the same
-  // verdicts as the one-shot reference.
+TEST(ReferenceHorn, FeasibleAgreesProbeByProbe) {
+  // Mixed ascending/descending probe sequences exercise warm starts, cold
+  // restarts, and the memo; every verdict must equal the reference
+  // network's.
   Rng rng(1234);
   GenConfig config{30, 90, 25, 3};
   for (int trial = 0; trial < 4; ++trial) {
     Instance instance = gen_general(rng, config);
-    std::int64_t opt = optimal_migratory_machines(instance);
+    const std::int64_t opt = reference::horn_optimal_machines(instance);
     std::vector<std::int64_t> sequence = {opt + 2, 1,       opt,
                                           opt - 1, opt + 1, opt};
-    for (const OracleOptions& options : option_grid()) {
-      FeasibilityOracle oracle(instance, options);
+    with_tier_on_and_off([&] {
+      FeasibilityOracle oracle(instance);
       for (std::int64_t m : sequence) {
         if (m <= 0) continue;
         EXPECT_EQ(oracle.feasible(m), m >= opt)
             << "m=" << m << " opt=" << opt;
       }
+    });
+    EXPECT_TRUE(reference::horn_feasible(instance, opt));
+    if (opt > 1) {
+      EXPECT_FALSE(reference::horn_feasible(instance, opt - 1));
     }
   }
 }
@@ -139,12 +144,14 @@ TEST(Compression, SharedTreeNodesDoNotLeakSegmentCaps) {
   // per-(job,segment) cap admits flow 4 and wrongly reports feasible. The
   // hybrid compression must keep the dense verdict.
   Instance instance({mk(0, 2, 2), mk(0, 1, 1), mk(0, 1, 1)});
-  for (const OracleOptions& options : option_grid()) {
-    FeasibilityOracle oracle(instance, options);
+  EXPECT_FALSE(reference::horn_feasible(instance, 2));
+  EXPECT_TRUE(reference::horn_feasible(instance, 3));
+  with_tier_on_and_off([&] {
+    FeasibilityOracle oracle(instance);
     EXPECT_FALSE(oracle.feasible(2));
     EXPECT_TRUE(oracle.feasible(3));
     EXPECT_EQ(oracle.optimal_machines(), 3);
-  }
+  });
 }
 
 TEST(Compression, TightJobsDegradeToDirectEdges) {
@@ -152,9 +159,11 @@ TEST(Compression, TightJobsDegradeToDirectEdges) {
   // compressed network is all direct capped edges; verdicts must still
   // match the dense network.
   Instance instance({mk(0, 4, 4), mk(1, 3, 2), mk(0, 2, 2), mk(2, 4, 2)});
-  FeasibilityOracle fast(instance);
-  FeasibilityOracle dense(instance, OracleOptions::legacy());
-  EXPECT_EQ(fast.optimal_machines(), dense.optimal_machines());
+  const std::int64_t dense = reference::horn_optimal_machines(instance);
+  with_tier_on_and_off([&] {
+    FeasibilityOracle fast(instance);
+    EXPECT_EQ(fast.optimal_machines(), dense);
+  });
 }
 
 TEST(Oracle, WarmStartSurvivesDescendingProbes) {
@@ -191,8 +200,9 @@ TEST(Oracle, RationalModeMatchesIntegerMode) {
   for (int trial = 0; trial < 3; ++trial) {
     Instance instance = gen_general(rng, config);
     Instance scaled = force_rational_mode(instance);
-    EXPECT_EQ(optimal_migratory_machines(instance),
-              optimal_migratory_machines(scaled));
+    const std::int64_t reference = reference::horn_optimal_machines(instance);
+    EXPECT_EQ(optimal_migratory_machines(instance), reference);
+    EXPECT_EQ(optimal_migratory_machines(scaled), reference);
   }
 }
 

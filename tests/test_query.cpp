@@ -1,8 +1,8 @@
-// The query engine (DESIGN.md section 11): affine-canonical fingerprints,
-// the sharded global OPT cache, and speculative parallel probing. The load
-// bearing property throughout is EXACTNESS -- every accelerated path must
-// return byte-identical answers to the plain sequential oracle, for every
-// OracleOptions combination, at any thread count.
+// The OPT cache (DESIGN.md section 11): affine-canonical fingerprints and
+// the sharded global OPT cache the oracle consults. The load bearing
+// property throughout is EXACTNESS -- cached answers must equal the
+// independent dense Horn network's (reference_horn.hpp), with the cache on
+// or off, at any thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,14 +11,15 @@
 #include <thread>
 #include <vector>
 
+#include "minmach/core/bounds.hpp"
 #include "minmach/core/canonical.hpp"
 #include "minmach/core/transforms.hpp"
 #include "minmach/flow/feasibility.hpp"
-#include "minmach/flow/query.hpp"
 #include "minmach/gen/generators.hpp"
 #include "minmach/obs/metrics.hpp"
 #include "minmach/util/opt_cache.hpp"
 #include "minmach/util/rng.hpp"
+#include "reference_horn.hpp"
 
 namespace minmach {
 namespace {
@@ -85,42 +86,39 @@ TEST_F(QueryTest, FingerprintSeparatesDistinctInstances) {
   EXPECT_NE(canonical_fingerprint(Instance(jobs)), canonical_fingerprint(in));
 }
 
+std::int64_t oracle_opt(const Instance& in) {
+  return FeasibilityOracle(in).optimal_machines();
+}
+
 TEST_F(QueryTest, CacheOnAndOffAgreeAcrossAllOracleOptionCombos) {
   Rng rng(13);
   GenConfig config;
   config.n = 16;
   std::vector<Instance> pool;
-  for (int trial = 0; trial < 4; ++trial) pool.push_back(gen_general(rng, config));
+  std::vector<std::int64_t> reference;
+  for (int trial = 0; trial < 4; ++trial) {
+    pool.push_back(gen_general(rng, config));
+    reference.push_back(reference::horn_optimal_machines(pool.back()));
+  }
 
-  for (int mask = 0; mask < 8; ++mask) {
-    OracleOptions options;
-    options.compress = (mask & 1) != 0;
-    options.warm_start = (mask & 2) != 0;
-    options.sweep_bound = (mask & 4) != 0;
-
-    // Reference: cache globally disabled.
+  // Tier on and off: with it off every uncached answer comes from network
+  // probes, with it on from the sandwich where it pinches.
+  for (bool tier : {true, false}) {
+    set_bounds_tier_enabled(tier);
     util::OptCache::global().configure(false, 1 << 10);
-    std::vector<std::int64_t> reference;
-    for (const Instance& in : pool) {
-      FeasibilityOracle oracle(in, options);
-      reference.push_back(oracle.optimal_machines());
-    }
+    for (std::size_t i = 0; i < pool.size(); ++i)
+      EXPECT_EQ(oracle_opt(pool[i]), reference[i]) << "tier=" << tier;
 
-    // Cache enabled and cleared: first pass fills, second pass hits; both
-    // must reproduce the reference exactly, through the oracle and through
-    // the query wrapper.
+    // Cache enabled and cleared: the first pass fills, the second hits;
+    // both must reproduce the reference exactly.
     util::OptCache::global().configure(true, 1 << 10);
     for (int pass = 0; pass < 2; ++pass) {
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        FeasibilityOracle oracle(pool[i], options);
-        EXPECT_EQ(oracle.optimal_machines(), reference[i])
-            << "mask=" << mask << " pass=" << pass;
-        QueryOptions query;
-        query.oracle = options;
-        EXPECT_EQ(query_optimal_machines(pool[i], query), reference[i]);
-      }
+      for (std::size_t i = 0; i < pool.size(); ++i)
+        EXPECT_EQ(oracle_opt(pool[i]), reference[i])
+            << "tier=" << tier << " pass=" << pass;
     }
   }
+  set_bounds_tier_enabled(true);
 }
 
 TEST_F(QueryTest, SecondQueryIsAnOptCacheHit) {
@@ -129,27 +127,69 @@ TEST_F(QueryTest, SecondQueryIsAnOptCacheHit) {
   config.n = 14;
   const Instance in = gen_general(rng, config);
   util::OptCache::global().configure(true, 1 << 10);
+  obs::Registry& registry = obs::Registry::global();
+  const auto hits = [&] { return registry.counter("cache.hits").value(); };
 
-  const QueryStats first = query_optimal_machines_stats(in);
-  EXPECT_FALSE(first.cache_hit);
-  const QueryStats second = query_optimal_machines_stats(in);
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(second.probes, 0u);
-  EXPECT_EQ(second.machines, first.machines);
+  FeasibilityOracle first(in);
+  const std::int64_t opt = first.optimal_machines();
+  EXPECT_EQ(opt, reference::horn_optimal_machines(in));
+
+  // The second oracle answers from the cached OPT: one hit, no probe.
+  const std::uint64_t hits_before = hits();
+  FeasibilityOracle second(in);
+  EXPECT_EQ(second.optimal_machines(), opt);
+  EXPECT_EQ(second.probes_executed(), 0u);
+  EXPECT_EQ(hits(), hits_before + 1);
 
   // An affine image of the instance is the SAME cache line: that is the
   // entire point of the canonical fingerprint.
-  const QueryStats image =
-      query_optimal_machines_stats(affine(in, Rat(5, 3), Rat(7, 4)));
-  EXPECT_TRUE(image.cache_hit);
-  EXPECT_EQ(image.machines, first.machines);
+  FeasibilityOracle image(affine(in, Rat(5, 3), Rat(7, 4)));
+  EXPECT_EQ(image.optimal_machines(), opt);
+  EXPECT_EQ(image.probes_executed(), 0u);
+  EXPECT_EQ(hits(), hits_before + 2);
+}
 
-  // use_cache=false bypasses the query-level lookup but must still agree.
-  QueryOptions uncached;
-  uncached.use_cache = false;
-  const QueryStats bypass = query_optimal_machines_stats(in, uncached);
-  EXPECT_FALSE(bypass.cache_hit);
-  EXPECT_EQ(bypass.machines, first.machines);
+// With the cache enabled the oracle normalizes lazily, so one answered
+// from the cache must still give exact bounds and accept edits.
+TEST_F(QueryTest, CacheAnsweredOracleStaysUsable) {
+  Rng rng(29);
+  GenConfig config;
+  config.n = 12;
+  const Instance in = gen_general(rng, config);
+  const std::int64_t opt = reference::horn_optimal_machines(in);
+  FeasibilityOracle uncached(in);
+  const std::int64_t lb = uncached.load_lower_bound();
+  const BoundSandwich bracket = uncached.bound_sandwich();
+
+  util::OptCache::global().configure(true, 1 << 10);
+  EXPECT_EQ(oracle_opt(in), opt);  // fills the cache
+  FeasibilityOracle cached(in);
+  EXPECT_EQ(cached.optimal_machines(), opt);
+  EXPECT_EQ(cached.probes_executed(), 0u);
+  EXPECT_TRUE(cached.feasible(opt));
+  if (opt > 1) {
+    EXPECT_FALSE(cached.feasible(opt - 1));
+  }
+  EXPECT_EQ(cached.load_lower_bound(), lb);
+  const BoundSandwich sandwich = cached.bound_sandwich();
+  EXPECT_EQ(sandwich.certificate.load_lb, bracket.certificate.load_lb);
+  EXPECT_LE(sandwich.lo, opt);
+  EXPECT_LE(opt, sandwich.hi);
+
+  // Edits after a cache hit land on the same arrays a cache-off oracle
+  // would have built.
+  const Job extra{Rat(3), Rat(9), Rat(5)};
+  std::vector<Job> jobs = in.jobs();
+  jobs.push_back(extra);
+  FeasibilityOracle edited(in);
+  EXPECT_EQ(edited.optimal_machines(), opt);
+  (void)edited.insert_job(extra);
+  EXPECT_EQ(edited.optimal_machines(),
+            reference::horn_optimal_machines(Instance(jobs)));
+  edited.remove_job(0);
+  jobs.erase(jobs.begin());
+  EXPECT_EQ(edited.optimal_machines(),
+            reference::horn_optimal_machines(Instance(jobs)));
 }
 
 TEST_F(QueryTest, EvictionKeepsTheCacheBoundedAndExact) {
@@ -174,53 +214,25 @@ TEST_F(QueryTest, EvictionKeepsTheCacheBoundedAndExact) {
   EXPECT_TRUE(cache.enabled());
 }
 
-TEST_F(QueryTest, SpeculativeSearchMatchesSequentialWithinProbeBudget) {
-  Rng rng(19);
-  GenConfig config;
-  std::vector<Instance> pool;
-  for (std::size_t n : {6u, 12u, 24u, 48u}) {
-    config.n = n;
-    pool.push_back(gen_general(rng, config));
-    pool.push_back(gen_tight(rng, config, Rat(1, 2)));
-  }
-  util::OptCache::global().configure(false, 64);
-
-  for (const Instance& in : pool) {
-    QueryOptions sequential;
-    sequential.speculate = 0;
-    const QueryStats seq = query_optimal_machines_stats(in, sequential);
-    for (int speculate : {2, 3, 4, 7}) {  // 7 clamps to 4
-      QueryOptions options;
-      options.speculate = speculate;
-      const QueryStats spec = query_optimal_machines_stats(in, options);
-      const int live = std::min(speculate, 4);
-      EXPECT_EQ(spec.machines, seq.machines) << "speculate=" << speculate;
-      EXPECT_LE(spec.probes,
-                seq.probes + static_cast<std::uint64_t>(live - 1) * spec.rounds)
-          << "speculate=" << speculate;
-    }
-  }
-}
-
 TEST_F(QueryTest, SpeculationAndCacheComposeOnDegenerateInstances) {
+  // Degenerate instances through a cache-enabled oracle: the empty and the
+  // malformed instance never reach the cache, a single job caches as usual.
   util::OptCache::global().configure(true, 1 << 10);
-  QueryOptions options;
-  options.speculate = 3;
 
-  EXPECT_EQ(query_optimal_machines(Instance(), options), 0);
+  EXPECT_EQ(oracle_opt(Instance()), 0);
 
   std::vector<Job> one(1);
   one[0].release = Rat(0);
   one[0].deadline = Rat(2);
   one[0].processing = Rat(1);
-  EXPECT_EQ(query_optimal_machines(Instance(one), options), 1);
+  EXPECT_EQ(oracle_opt(Instance(one)), 1);
+  EXPECT_EQ(oracle_opt(Instance(one)), 1);  // cached
 
   std::vector<Job> bad(1);
   bad[0].release = Rat(1);
   bad[0].deadline = Rat(1);
   bad[0].processing = Rat(1);
-  EXPECT_THROW((void)query_optimal_machines(Instance(bad), options),
-               std::invalid_argument);
+  EXPECT_THROW((void)oracle_opt(Instance(bad)), std::invalid_argument);
 }
 
 TEST_F(QueryTest, ConcurrentCachedQueriesStayConsistent) {
@@ -230,10 +242,9 @@ TEST_F(QueryTest, ConcurrentCachedQueriesStayConsistent) {
   std::vector<Instance> pool;
   for (int trial = 0; trial < 6; ++trial) pool.push_back(gen_general(rng, config));
 
-  util::OptCache::global().configure(false, 1 << 10);
   std::vector<std::int64_t> reference;
   for (const Instance& in : pool)
-    reference.push_back(query_optimal_machines(in));
+    reference.push_back(reference::horn_optimal_machines(in));
 
   // Four threads hammer the same instance pool through the cache -- every
   // interleaving of misses, fills, hits, and evictions must return the
@@ -248,7 +259,7 @@ TEST_F(QueryTest, ConcurrentCachedQueriesStayConsistent) {
     workers.emplace_back([&, t] {
       for (int rep = 0; rep < reps; ++rep)
         for (std::size_t i = 0; i < pool.size(); ++i)
-          got[static_cast<std::size_t>(t)][i] = query_optimal_machines(pool[i]);
+          got[static_cast<std::size_t>(t)][i] = oracle_opt(pool[i]);
       obs::drain_hot_tallies();
     });
   }

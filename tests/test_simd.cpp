@@ -480,23 +480,6 @@ TEST(OracleSimd, OptIdenticalAcrossModes) {
   }
 }
 
-TEST(OracleSimd, OptionsFlagDisablesAccel) {
-  // OracleOptions::simd = false must behave exactly like scalar dispatch
-  // (it is ANDed with the global mode), including on the legacy baseline.
-  ModeGuard guard;
-  util::simd::set_mode(util::simd::Mode::kAuto);
-  Rng rng(53);
-  const Instance instance = gen_unit(rng, GenConfig{100, 12, 12, 1});
-  OracleOptions no_simd;
-  no_simd.simd = false;
-  FeasibilityOracle plain(instance, no_simd);
-  FeasibilityOracle accel(instance);
-  FeasibilityOracle legacy(instance, OracleOptions::legacy());
-  const std::int64_t opt = accel.optimal_machines();
-  EXPECT_EQ(plain.optimal_machines(), opt);
-  EXPECT_EQ(legacy.optimal_machines(), opt);
-}
-
 TEST(OracleSimd, SolveAllocationIdenticalAcrossModes) {
   ModeGuard guard;
   Rng rng(54);

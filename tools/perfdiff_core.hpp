@@ -14,7 +14,7 @@
 //    comparable at any tolerance).
 //  * COUNT (probes, bfs passes, edge visits, allocations, ...): exact and
 //    deterministic per revision, but legitimately shifted a little by
-//    galloping/speculation boundary effects; compared against a tight
+//    galloping boundary effects; compared against a tight
 //    relative tolerance plus a small absolute slack.
 //  * IDENTITY (opt, load_lb, machines, n, seed, booleans): results. Any
 //    difference is a correctness regression, never noise.
