@@ -133,9 +133,9 @@ inline void write_bench_stamp(obs::JsonWriter& json) {
 //
 // Also reads --cache {on,off} / --cache-capacity N and configures the
 // global affine-canonical OPT cache accordingly, so every driver can A/B
-// the query engine. Default off: the o01/m01 substrate benches measure
-// legacy-vs-fast ratios that a shared verdict cache would collapse, so
-// caching is strictly opt-in per run.
+// the query engine. Default off: the committed smoke baselines record the
+// probes and flow work of the uncached oracle, and q01 measures the cache
+// against the uncached run, so caching is strictly opt-in per run.
 //
 // Also reads --simd {auto,avx2,scalar} and sets the global kernel dispatch
 // mode (util::simd::set_mode, DESIGN.md §12). Default auto: use the AVX2
@@ -148,9 +148,9 @@ inline void write_bench_stamp(obs::JsonWriter& json) {
 // Also reads --bounds {on,off} (default off) and sets the global bound-tier
 // gate (set_bounds_tier_enabled, DESIGN.md §14). Off keeps every driver
 // measuring the exact oracle alone -- the certified sandwich would answer
-// most probes for free and collapse the legacy-vs-fast and cache A/B
-// ratios; b01_bound_tier turns it on explicitly. OPT values and verdicts
-// are identical either way.
+// most probes for free, moving the committed baselines' probe counts and
+// collapsing q01's cache A/B; b01_bound_tier turns it on explicitly. OPT
+// values and verdicts are identical either way.
 //
 // Also reads --profile {on,off} (default off) and arms the span profiler +
 // latency histograms (DESIGN.md §13) for the run. Profiling only ADDS the
@@ -207,9 +207,9 @@ class Run {
     }
     util::simd::set_mode(simd_mode);
     // Bound tier (--bounds, DESIGN.md §14): default OFF in the drivers --
-    // the library default is on, but the committed baselines, the o01/m01
-    // legacy-vs-fast ratios, and q01's cache probe-ratio check all measure
-    // the exact tier, which a sandwich that answers probes for free would
+    // the library default is on, but the committed baselines, q01's cache
+    // probe-ratio check and m01's edge-visit cost model all measure the
+    // exact tier, which a sandwich that answers probes for free would
     // collapse. b01_bound_tier A/Bs the tier explicitly.
     set_bounds_tier_enabled(parse_onoff(cli, "bounds", false));
     corpus_path_ = path_flag(cli, "corpus");
@@ -343,15 +343,17 @@ using util::parallel_map;
 using util::parallel_map_scheduled;
 using util::resolve_threads;
 
-// Shared validation for positive-count driver flags (--sessions, --events):
-// absent takes the default; zero, negative, or malformed values exit 2 with
-// the uniform diagnostic, mirroring --threads/--cache-capacity.
+// Shared validation for count-valued driver flags (--sessions, --events,
+// m01's --levels/--sweep-n/--trials): absent takes the default; a value
+// below `minimum` exits 2 with the uniform diagnostic, mirroring
+// --threads/--cache-capacity.
 inline std::int64_t positive_count_flag(Cli& cli, const std::string& flag,
-                                        std::int64_t default_value) {
+                                        std::int64_t default_value,
+                                        std::int64_t minimum = 1) {
   const std::int64_t value = cli.get_int(flag, default_value);
-  if (value <= 0) {
-    std::cerr << "error: --" << flag << " must be a positive count (omit the "
-              << "flag for the default " << default_value << ")\n";
+  if (value < minimum) {
+    std::cerr << "error: --" << flag << " must be a count >= " << minimum
+              << " (omit the flag for the default " << default_value << ")\n";
     std::exit(2);
   }
   return value;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "minmach/util/arena.hpp"
-
 namespace minmach {
 
 void NonMigratoryPolicy::on_release(Simulator& sim, JobId job) {
@@ -45,21 +43,6 @@ std::optional<std::size_t> NonMigratoryPolicy::machine_of(JobId job) const {
 bool NonMigratoryPolicy::machine_can_take(const Simulator& sim,
                                           std::size_t machine,
                                           JobId job) const {
-  if (util::substrate_legacy()) [[unlikely]] {
-    // Seed path: a fresh commitment vector per probe.
-    std::vector<MachineCommitment> commitments;
-    if (machine < assigned_.size()) {
-      for (JobId id : assigned_[machine]) {
-        if (sim.finished(id) || sim.missed(id)) continue;
-        commitments.push_back({sim.job(id).release, sim.job(id).deadline,
-                               sim.remaining(id)});
-      }
-    }
-    commitments.push_back(
-        {sim.job(job).release, sim.job(job).deadline, sim.remaining(job)});
-    return edf_feasible_single_machine(std::move(commitments), sim.now(),
-                                       sim.speed());
-  }
   commit_scratch_.clear();
   if (machine < assigned_.size()) {
     for (JobId id : assigned_[machine]) {
@@ -74,24 +57,11 @@ bool NonMigratoryPolicy::machine_can_take(const Simulator& sim,
                                              sim.speed());
 }
 
-std::vector<std::size_t> NonMigratoryPolicy::feasible_machines(
-    const Simulator& sim, JobId job) const {
-  std::vector<std::size_t> out;
-  for (std::size_t m = 0; m < assigned_.size(); ++m) {
-    if (machine_can_take(sim, m, job)) out.push_back(m);
-  }
-  return out;
-}
-
 const std::vector<std::size_t>& NonMigratoryPolicy::feasible_machines_pooled(
     const Simulator& sim, JobId job) const {
-  if (util::substrate_legacy()) [[unlikely]]
-    feasible_scratch_ = feasible_machines(sim, job);  // seed: fresh vector
-  else {
-    feasible_scratch_.clear();
-    for (std::size_t m = 0; m < assigned_.size(); ++m) {
-      if (machine_can_take(sim, m, job)) feasible_scratch_.push_back(m);
-    }
+  feasible_scratch_.clear();
+  for (std::size_t m = 0; m < assigned_.size(); ++m) {
+    if (machine_can_take(sim, m, job)) feasible_scratch_.push_back(m);
   }
   return feasible_scratch_;
 }

@@ -41,13 +41,9 @@ class NonMigratoryPolicy : public OnlinePolicy {
   virtual std::size_t choose_machine(Simulator& sim, JobId job) = 0;
 
   // Machines on which the job, added to the existing commitments, is
-  // EDF-feasible from now on (exact test, ascending order).
-  [[nodiscard]] std::vector<std::size_t> feasible_machines(const Simulator& sim,
-                                                           JobId job) const;
-  // As above, but into a pooled buffer: the returned reference is valid
-  // until the next call on this policy (any thread). The per-release hot
-  // path of every fit rule uses this; under util::substrate_legacy() it
-  // still fills a fresh vector, matching the seed.
+  // EDF-feasible from now on (exact test, ascending order), in a pooled
+  // buffer: the returned reference is valid until the next call on this
+  // policy (any thread).
   [[nodiscard]] const std::vector<std::size_t>& feasible_machines_pooled(
       const Simulator& sim, JobId job) const;
   [[nodiscard]] bool machine_can_take(const Simulator& sim,
@@ -65,9 +61,7 @@ class NonMigratoryPolicy : public OnlinePolicy {
   std::vector<std::vector<JobId>> assigned_;
   std::vector<std::optional<std::size_t>> machine_by_job_;
   // Admission-test scratch, reused across the per-release probe of every
-  // open machine (mutable: the probes are logically const queries). Under
-  // util::substrate_legacy() the probes build fresh vectors instead,
-  // matching the seed.
+  // open machine (mutable: the probes are logically const queries).
   mutable std::vector<MachineCommitment> commit_scratch_;
   mutable std::vector<std::size_t> feasible_scratch_;
 };

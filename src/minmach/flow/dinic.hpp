@@ -8,12 +8,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
 #include "minmach/obs/profile.hpp"
-#include "minmach/util/arena.hpp"
 #include "minmach/util/bitset.hpp"
 #include "minmach/util/simd.hpp"
 
@@ -59,7 +57,6 @@ class Dinic {
   // construction and reinit, which the feasibility oracle keeps), 0 forces
   // the scalar queue, 1 forces the bit-parallel frontier -- the kernel
   // differentials and bench/v01 pin it to compare the two.
-  // util::substrate_legacy() overrides everything (see build_levels).
   void set_level_kernel(int mode) { accel_mode_ = mode; }
 
   // Appends an isolated node and returns its id. Existing edges, routed
@@ -146,9 +143,8 @@ class Dinic {
     // level BFS plus the CSR adjacency mirror. Edge ORDER is identical
     // either way, so the routed flow is bit-identical; only locality and
     // BFS bookkeeping differ.
-    use_accel_ = !util::substrate_legacy() &&
-                 (accel_mode_ > 0 ||
-                  (accel_mode_ < 0 && util::simd::active()));
+    use_accel_ =
+        accel_mode_ > 0 || (accel_mode_ < 0 && util::simd::active());
     if (use_accel_) ensure_csr();
     Cap total(0);
     // Profiled as two child phases: "bfs" covers the level-graph builds,
@@ -194,25 +190,6 @@ class Dinic {
     ++stats_.bfs_passes;
     level_.assign(node_count(), -1);
     level_[source] = 0;
-    if (util::substrate_legacy()) [[unlikely]] {
-      // Seed behaviour: a fresh std::queue (heap-backed deque) per pass.
-      // Kept as the memory bench's pre-reuse baseline.
-      std::queue<std::size_t> frontier;
-      frontier.push(source);
-      while (!frontier.empty()) {
-        std::size_t node = frontier.front();
-        frontier.pop();
-        stats_.edge_visits += adjacency_[node].size();
-        for (std::size_t handle : adjacency_[node]) {
-          const Edge& edge = edges_[handle];
-          if (level_[edge.to] == -1 && Cap(0) < edge.capacity) {
-            level_[edge.to] = level_[node] + 1;
-            frontier.push(edge.to);
-          }
-        }
-      }
-      return level_[sink] != -1;
-    }
     if (use_accel_) return build_levels_bitmap(source, sink);
     // Pooled frontier: a BFS visits each node once, so the vector doubles
     // as the queue (scan head forward) and its storage survives across

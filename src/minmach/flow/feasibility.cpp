@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -201,9 +200,7 @@ struct OracleNet {
     Cap length;               // sum of covered segment lengths
   };
   // Scratch for the segment-tree build, kept across builds (and across
-  // pooled-Impl leases) so a rebuild only clears, never reallocates. Under
-  // util::substrate_legacy() build() uses fresh locals instead, matching
-  // the seed's per-build vectors.
+  // recycled Impls) so a rebuild only clears, never reallocates.
   struct BuildScratch {
     std::vector<TreeNode> tree;
     std::vector<std::size_t> leaf_node;
@@ -284,7 +281,7 @@ struct OracleNet {
 
   // Rewinds to the just-constructed logical state, keeping every
   // container's storage (the graph recycles via build()'s reinit). Used
-  // when a pooled Impl is leased for a new instance.
+  // when a parked Impl is adopted for a new instance.
   void reset_net() {
     release.clear();
     deadline.clear();
@@ -330,12 +327,9 @@ void OracleNet<Cap>::build(BuildCounters& counters) {
   // to the leaves. DESIGN.md proves this network max-flow-equivalent to
   // the dense Horn network (tests/reference_horn.hpp builds that one).
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  const bool legacy = util::substrate_legacy();
-  BuildScratch local;  // legacy baseline: fresh vectors every build
-  BuildScratch& s = legacy ? local : scratch;
-  std::vector<TreeNode>& tree = s.tree;
+  std::vector<TreeNode>& tree = scratch.tree;
   tree.clear();
-  std::vector<std::size_t>& leaf_node = s.leaf_node;
+  std::vector<std::size_t>& leaf_node = scratch.leaf_node;
   leaf_node.assign(segments, 0);
   // Named struct instead of std::function: recursive without a per-call
   // heap allocation for the callable.
@@ -365,10 +359,7 @@ void OracleNet<Cap>::build(BuildCounters& counters) {
   // Node layout: 0 = source, 1..n = jobs, n+1..n+|tree| = tree nodes
   // (leaves included), last = sink.
   sink = n + tree.size() + 1;
-  if (util::substrate_legacy())
-    graph = Dinic<Cap>(n + tree.size() + 2);  // seed: fresh network per build
-  else
-    graph.reinit(n + tree.size() + 2);
+  graph.reinit(n + tree.size() + 2);
   auto tree_graph_node = [n](std::size_t id) { return n + 1 + id; };
   // Internal nodes forward capacity to their children. The edges carry
   // total_work, an upper bound on any source->sink flow, so they never
@@ -389,8 +380,8 @@ void OracleNet<Cap>::build(BuildCounters& counters) {
 
   // Leaves a job must reach through a capped direct edge: processed in
   // ascending p_j so the capped-position set only ever grows.
-  std::vector<std::size_t>& jobs_by_processing = s.jobs_by_processing;
-  std::vector<std::size_t>& leaves_by_length = s.leaves_by_length;
+  std::vector<std::size_t>& jobs_by_processing = scratch.jobs_by_processing;
+  std::vector<std::size_t>& leaves_by_length = scratch.leaves_by_length;
   jobs_by_processing.resize(n);
   leaves_by_length.resize(segments);
   for (std::size_t j = 0; j < n; ++j) jobs_by_processing[j] = j;
@@ -429,21 +420,15 @@ void OracleNet<Cap>::build(BuildCounters& counters) {
 
   // Leaf positions with |segment| < p_j so far, kept sorted by position.
   // The sorted-vector insert is O(|capped|) per element but |capped| <=
-  // segments and the pooled storage makes the whole loop allocation-free;
-  // legacy keeps the seed's node-per-insert std::set.
-  std::set<std::size_t> capped_set;
-  std::vector<std::size_t>& capped = s.capped;
+  // segments and the pooled storage makes the whole loop allocation-free.
+  std::vector<std::size_t>& capped = scratch.capped;
   capped.clear();
   std::size_t next_leaf = 0;
   for (std::size_t j : jobs_by_processing) {
     while (next_leaf < segments &&
            seg_length[leaves_by_length[next_leaf]] < processing[j]) {
       const std::size_t pos = leaves_by_length[next_leaf++];
-      if (legacy)
-        capped_set.insert(pos);
-      else
-        capped.insert(std::lower_bound(capped.begin(), capped.end(), pos),
-                      pos);
+      capped.insert(std::lower_bound(capped.begin(), capped.end(), pos), pos);
     }
     const std::size_t lo = static_cast<std::size_t>(
         std::lower_bound(points.begin(), points.end(), release[j]) -
@@ -452,20 +437,13 @@ void OracleNet<Cap>::build(BuildCounters& counters) {
         std::lower_bound(points.begin(), points.end(), deadline[j]) -
         points.begin());
     std::size_t run_start = lo;
-    auto visit_capped = [&](std::size_t pos) {
+    for (auto it = std::lower_bound(capped.begin(), capped.end(), lo);
+         it != capped.end() && *it < hi; ++it) {
+      const std::size_t pos = *it;
       graph.add_edge(1 + j, tree_graph_node(leaf_node[pos]), seg_length[pos]);
       ++counters.direct_edges;
       if (run_start < pos) cover(0, run_start, pos, j);
       run_start = pos + 1;
-    };
-    if (legacy) {
-      for (auto it = capped_set.lower_bound(lo);
-           it != capped_set.end() && *it < hi; ++it)
-        visit_capped(*it);
-    } else {
-      for (auto it = std::lower_bound(capped.begin(), capped.end(), lo);
-           it != capped.end() && *it < hi; ++it)
-        visit_capped(*it);
     }
     if (run_start < hi) cover(0, run_start, hi, j);
   }
@@ -876,10 +854,13 @@ struct FeasibilityOracle::Impl {
   bool lb_dirty = false;       // density_lb stale after an edit
   bool pending_repair = false; // a splice awaits its warm re-augmentation
 
-  // Pool bookkeeping (see acquire_impl): owner_busy points at the leasing
-  // thread's busy flag and is only ever compared / written on that thread.
-  bool pooled = false;
-  bool* owner_busy = nullptr;
+  // The calling thread's idle Impl: parked by ImplDeleter, adopted by
+  // acquire_impl, deleted at thread exit.
+  struct IdleSlot {
+    std::unique_ptr<Impl> parked;
+    ~IdleSlot();
+  };
+  static thread_local IdleSlot idle;
 
   bool probe(std::int64_t machines);
   std::int64_t lower_bound();
@@ -945,37 +926,32 @@ struct FeasibilityOracle::Impl {
 };
 
 namespace {
-// One pooled oracle Impl per thread, leased by at most one live oracle at a
-// time; nested oracles and the substrate_legacy() baseline fall back to
-// fresh Impls.
-thread_local bool g_oracle_pool_busy = false;
+// Set when this thread's idle slot is destroyed at thread exit. An Impl
+// released after that (an oracle owned by a static or by another
+// thread_local) is deleted instead of parked. Trivially destructible, so it
+// stays readable for the rest of the thread's teardown.
+thread_local bool g_idle_slot_closed = false;
 }  // namespace
 
+thread_local FeasibilityOracle::Impl::IdleSlot FeasibilityOracle::Impl::idle;
+
+FeasibilityOracle::Impl::IdleSlot::~IdleSlot() { g_idle_slot_closed = true; }
+
 auto FeasibilityOracle::acquire_impl() -> std::unique_ptr<Impl, ImplDeleter> {
-  if (!g_oracle_pool_busy && !util::substrate_legacy()) {
-    thread_local std::unique_ptr<Impl> slot;
-    if (!slot) slot = std::make_unique<Impl>();
-    g_oracle_pool_busy = true;
-    slot->pooled = true;
-    slot->owner_busy = &g_oracle_pool_busy;
-    slot->reset();
-    return std::unique_ptr<Impl, ImplDeleter>(slot.get(), ImplDeleter{});
+  if (!g_idle_slot_closed && Impl::idle.parked) {
+    std::unique_ptr<Impl, ImplDeleter> impl(Impl::idle.parked.release());
+    impl->reset();
+    return impl;
   }
-  return std::unique_ptr<Impl, ImplDeleter>(new Impl(), ImplDeleter{});
+  return std::unique_ptr<Impl, ImplDeleter>(new Impl());
 }
 
 void FeasibilityOracle::ImplDeleter::operator()(Impl* impl) const noexcept {
-  if (impl == nullptr) return;
-  if (!impl->pooled) {
+  if (g_idle_slot_closed || Impl::idle.parked) {
     delete impl;
     return;
   }
-  // Release the lease only on the owning thread (pointer compare against
-  // this thread's flag; no dereference of a foreign thread_local). A
-  // pooled Impl released on another thread leaves its owner's slot marked
-  // busy -- pooling stops there, but the memory stays owned by the owner's
-  // thread_local unique_ptr, so nothing dangles or double-frees.
-  if (impl->owner_busy == &g_oracle_pool_busy) g_oracle_pool_busy = false;
+  Impl::idle.parked.reset(impl);
 }
 
 FeasibilityOracle::FeasibilityOracle(const Instance& instance)

@@ -115,14 +115,13 @@ class FeasibilityOracle {
 
  private:
   struct Impl;
-  // Oracles lease a per-thread pooled Impl when it is free (so a sweep that
-  // constructs one oracle per instance recycles the probe network's
-  // adjacency/edge/level storage call after call, see DESIGN.md §10) and
-  // fall back to a fresh heap Impl when the pool is busy -- a nested oracle
-  // -- or under util::substrate_legacy(). The deleter returns a leased Impl
-  // to its pool instead of deleting it; an Impl released on a thread other
-  // than its owner is simply retired from pooling (memory-safe, the slot
-  // stays busy).
+  // A live oracle owns its Impl outright, so it may outlive the thread
+  // that built it. The deleter parks a dying oracle's Impl as the
+  // destroying thread's idle Impl, or deletes it if one is already parked;
+  // the next oracle built on that thread adopts the parked Impl. A sweep
+  // that constructs one oracle per instance thus recycles the probe
+  // network's adjacency/edge/level storage call after call (DESIGN.md
+  // §10.3).
   struct ImplDeleter {
     void operator()(Impl* impl) const noexcept;
   };

@@ -67,7 +67,10 @@ struct HotTallies {
   // workload alone, so merged reports stay byte-identical at any --threads.
   std::uint64_t bigint_spill = 0;  // "mem.bigint_spill": limb stores that outgrew the inline buffer
   std::uint64_t arena_bytes = 0;   // "mem.arena_bytes": bytes requested from arena scratch
-  std::uint64_t heap_allocs = 0;   // "mem.heap_allocs": substrate heap allocations (spills + legacy-mode temporaries)
+  // "mem.heap_allocs": substrate heap allocations. BigInt spills are the
+  // only ones, so it equals "mem.bigint_spill"; kept because perfbench
+  // reports it as util.heap_allocs.
+  std::uint64_t heap_allocs = 0;
   // SIMD kernel layer (DESIGN.md §12). Execution-class like the rest:
   // dispatch mode moves them, results never.
   std::uint64_t simd_lanes_used = 0;     // "simd.lanes_used": elements processed by vector lanes

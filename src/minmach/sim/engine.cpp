@@ -7,7 +7,6 @@
 #include "minmach/obs/metrics.hpp"
 #include "minmach/obs/profile.hpp"
 #include "minmach/obs/trace.hpp"
-#include "minmach/util/arena.hpp"
 
 namespace minmach {
 
@@ -318,12 +317,10 @@ SimRun simulate_pooled_or_fresh(OnlinePolicy& policy, const Instance& instance,
   // One pooled Simulator per thread: reset() keeps every container's
   // storage, so steady-state sweeps reuse the SoA arrays, event heaps, and
   // trace machine lists run after run. The busy flag guards against a
-  // policy that re-enters simulate() from a callback (none do today);
-  // legacy mode opts out entirely so the memory bench can measure the
-  // seed's construct-per-run behaviour.
+  // policy that re-enters simulate() from a callback (none do today).
   thread_local Simulator pooled;
   thread_local bool busy = false;
-  if (busy || util::substrate_legacy()) {
+  if (busy) {
     Simulator fresh(policy, std::move(speed));
     return finish_run(fresh, policy, instance, require_no_miss);
   }

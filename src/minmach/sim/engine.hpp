@@ -214,8 +214,8 @@ class Simulator {
 // Convenience driver: simulate the full instance against the policy and
 // return the resulting schedule (canonicalized). Throws std::runtime_error
 // if the policy misses a deadline and require_no_miss is true. Runs on a
-// per-thread pooled Simulator (see reset()) unless substrate_legacy() is
-// on or the call re-enters simulate() from a policy callback.
+// per-thread pooled Simulator (see reset()) unless the call re-enters
+// simulate() from a policy callback.
 struct SimRun {
   Schedule schedule;
   std::size_t machines_used = 0;

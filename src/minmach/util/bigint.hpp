@@ -191,10 +191,7 @@ class BigInt {
   // store is destroyed or moved from — so a BigInt repeatedly assigned
   // large values allocates O(log max_size) times, not O(assignments).
   // Spills are the only heap traffic BigInt generates (tallied as
-  // "mem.bigint_spill"); all intermediates use arena scratch. Under
-  // util::substrate_legacy() the inline buffer is disabled (every non-empty
-  // magnitude is heap-backed), reproducing the pre-substrate
-  // std::vector<Limb> storage for the memory bench's baseline.
+  // "mem.bigint_spill"); all intermediates use arena scratch.
   class LimbStore {
    public:
     LimbStore() = default;

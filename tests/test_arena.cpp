@@ -1,10 +1,9 @@
 // Tests for the bump/arena allocator behind the exact-arithmetic scratch
 // (util/arena.hpp): checkpoint/rollback semantics, scope nesting,
-// chunk-spanning and oversized allocations, legacy-mode per-request
-// heap blocks, and the mem.* observability tallies. These run under the
-// sanitize preset in CI, so every byte written here is ASan/UBSan-checked
-// (out-of-bounds scratch, use-after-rollback in legacy mode, leaks of
-// legacy blocks would all fail the suite).
+// chunk-spanning and oversized allocations, and the mem.* observability
+// tallies. These run under the sanitize preset in CI, so every byte
+// written here is ASan/UBSan-checked (out-of-bounds scratch would fail
+// the suite).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,13 +17,6 @@
 
 namespace minmach::util {
 namespace {
-
-// Restores the global substrate flag even if an assertion fails mid-test,
-// so a legacy-mode failure cannot leak into unrelated tests.
-struct LegacyGuard {
-  explicit LegacyGuard(bool legacy) { set_substrate_legacy(legacy); }
-  ~LegacyGuard() { set_substrate_legacy(false); }
-};
 
 TEST(Arena, RollbackRewindsTheBumpPointer) {
   Arena arena;
@@ -117,54 +109,6 @@ TEST(Arena, RollbackAcrossChunksRetainsHighWaterStorage) {
   for (int i = 0; i < 100; ++i) (void)arena.allocate(4096);
   EXPECT_EQ(arena.stats().bytes_reserved, reserved);
   EXPECT_EQ(arena.stats().chunk_allocs, chunks);
-}
-
-TEST(Arena, LegacyModeAllocatesZeroedBlocksAndFreesOnRollback) {
-  Arena arena;
-  LegacyGuard guard(true);
-  Arena::Marker mark = arena.checkpoint();
-  void* p = arena.allocate(64);
-  // The seed's temporaries were value-initialized vectors; legacy blocks
-  // reproduce that.
-  unsigned char zeros[64] = {};
-  EXPECT_EQ(std::memcmp(p, zeros, 64), 0);
-  (void)arena.allocate(32);
-  EXPECT_EQ(arena.checkpoint().legacy_depth, mark.legacy_depth + 2);
-  // Rollback frees both legacy blocks (ASan would flag a leak or any
-  // later touch of `p` as use-after-free).
-  arena.rollback(mark);
-  EXPECT_EQ(arena.checkpoint().legacy_depth, mark.legacy_depth);
-}
-
-TEST(Arena, LegacyScopesNestAndFreeInnermostFirst) {
-  Arena arena;
-  LegacyGuard guard(true);
-  ArenaScope outer(arena);
-  (void)outer.alloc<std::uint64_t>(8);
-  {
-    ArenaScope inner(arena);
-    (void)inner.alloc<std::uint64_t>(8);
-    (void)inner.alloc<std::uint64_t>(8);
-    EXPECT_EQ(arena.checkpoint().legacy_depth, 3u);
-  }
-  EXPECT_EQ(arena.checkpoint().legacy_depth, 1u);
-}
-
-TEST(Arena, MixedModeRollbackFreesOnlyLegacyBlocks) {
-  Arena arena;
-  Arena::Marker mark = arena.checkpoint();
-  void* bump = arena.allocate(64);  // fast mode: chunk storage
-  {
-    LegacyGuard guard(true);
-    (void)arena.allocate(64);  // legacy block, freed below
-  }
-  void* bump2 = arena.allocate(64);  // fast mode again, same chunk
-  std::memset(bump, 1, 64);
-  std::memset(bump2, 2, 64);
-  arena.rollback(mark);
-  EXPECT_EQ(arena.checkpoint().legacy_depth, 0u);
-  // The chunk itself survived the rollback.
-  EXPECT_EQ(arena.allocate(64), bump);
 }
 
 #if MINMACH_OBS_ENABLED

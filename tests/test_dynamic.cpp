@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "minmach/core/bounds.hpp"
@@ -342,6 +344,56 @@ TEST(SvcSession, Errors) {
   // External ids are reusable once completed.
   session.on_release(7, mk(1, 5, 2));
   EXPECT_EQ(session.query_opt(), 1);
+}
+
+// Oracles and sessions are movable, so one may outlive the thread that
+// built it. Each is built on its own worker thread, moved out, and used
+// after the join; the sanitize preset flags any Impl the thread's exit
+// freed underneath them.
+TEST(SvcSession, OracleAndSessionOutliveTheBuildingThread) {
+  Rng rng(5);
+  GenConfig config;
+  config.n = 20;
+  const Instance instance = gen_general(rng, config);
+  const std::int64_t expected = reference::horn_optimal_machines(instance);
+
+  std::optional<FeasibilityOracle> oracle;
+  std::thread([&] {
+    FeasibilityOracle built(instance);
+    oracle.emplace(std::move(built));
+  }).join();
+  EXPECT_EQ(oracle->optimal_machines(), expected);
+
+  std::optional<svc::Session> session;
+  std::thread([&] {
+    svc::Session built;
+    for (std::size_t j = 0; j < instance.size(); ++j)
+      built.on_release(static_cast<std::int64_t>(j), instance.jobs()[j]);
+    EXPECT_EQ(built.query_opt(), expected);
+    session.emplace(std::move(built));
+  }).join();
+  session->on_complete(0);
+  std::vector<Job> rest(instance.jobs().begin() + 1, instance.jobs().end());
+  EXPECT_EQ(session->query_opt(),
+            reference::horn_optimal_machines(Instance(std::move(rest))));
+}
+
+// A thread_local that owns an oracle and was constructed before the
+// thread's first oracle is destroyed after the thread's idle slot: the
+// oracle's Impl must then be deleted, not parked in the dead slot. The
+// sanitize preset flags a use-after-free or a leak here.
+TEST(SvcSession, OracleOwnedByAThreadLocalDiesAfterTheIdleSlot) {
+  Rng rng(7);
+  GenConfig config;
+  config.n = 20;
+  const Instance instance = gen_general(rng, config);
+  std::int64_t opt = -1;
+  std::thread([&] {
+    thread_local std::optional<FeasibilityOracle> owned;
+    owned.emplace(instance);
+    opt = owned->optimal_machines();
+  }).join();
+  EXPECT_EQ(opt, reference::horn_optimal_machines(instance));
 }
 
 std::vector<svc::Event> mixed_stream(std::uint64_t sessions, int events,
