@@ -43,18 +43,36 @@ std::optional<std::size_t> NonMigratoryPolicy::machine_of(JobId job) const {
 bool NonMigratoryPolicy::machine_can_take(const Simulator& sim,
                                           std::size_t machine,
                                           JobId job) const {
+  // Jackson's rule. Admission runs only inside on_release, at now = the
+  // job's release. Every other job committed here was released earlier,
+  // and step 1 of Simulator::deliver_events_at_now has already finished
+  // the running jobs with no work left. So every commitment is available
+  // at now, and preemptive EDF meets all deadlines iff, in deadline order,
+  // now + prefix_work / speed <= deadline for every prefix. Ties in
+  // deadline do not change the verdict: the last job of a tie group
+  // carries the group's largest prefix.
   commit_scratch_.clear();
   if (machine < assigned_.size()) {
-    for (JobId id : assigned_[machine]) {
-      if (sim.finished(id) || sim.missed(id)) continue;
-      commit_scratch_.push_back({sim.job(id).release, sim.job(id).deadline,
-                                 sim.remaining(id)});
-    }
+    for (JobId id : assigned_[machine])
+      if (!sim.finished(id) && !sim.missed(id) &&
+          sim.remaining(id).is_positive())
+        commit_scratch_.push_back(id);
   }
-  commit_scratch_.push_back(
-      {sim.job(job).release, sim.job(job).deadline, sim.remaining(job)});
-  return edf_feasible_single_machine_inplace(commit_scratch_, sim.now(),
-                                             sim.speed());
+  if (sim.remaining(job).is_positive()) commit_scratch_.push_back(job);
+  std::sort(commit_scratch_.begin(), commit_scratch_.end(),
+            [&](JobId a, JobId b) {
+              return sim.job(a).deadline < sim.job(b).deadline;
+            });
+  const bool unit_speed = sim.speed() == Rat(1);
+  Rat finish = sim.now();
+  for (JobId id : commit_scratch_) {
+    if (unit_speed)
+      finish += sim.remaining(id);
+    else
+      finish += sim.remaining(id) / sim.speed();
+    if (finish > sim.job(id).deadline) return false;
+  }
+  return true;
 }
 
 const std::vector<std::size_t>& NonMigratoryPolicy::feasible_machines_pooled(

@@ -5,8 +5,9 @@
 // gains nothing from delaying the commitment past a_j = r_j + l_j, and the
 // lower-bound game of Section 3 observes commitments through processing).
 // Per machine the dispatcher runs preemptive EDF over the assigned active
-// jobs, which is optimal for a fixed assignment; the admission test
-// (edf_feasible_single_machine) is therefore exact.
+// jobs, which is optimal for a fixed assignment. The admission test is
+// Jackson's rule on the machine's commitments (every one of them is
+// available at the release), so it decides EDF feasibility exactly.
 //
 // Subclasses only choose the machine. The provided fit rules are the
 // opponent suite for the strong lower bound (experiment E1): a lower bound
@@ -18,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "minmach/algos/single_machine.hpp"
 #include "minmach/sim/engine.hpp"
 #include "minmach/util/rng.hpp"
 
@@ -60,9 +60,10 @@ class NonMigratoryPolicy : public OnlinePolicy {
  private:
   std::vector<std::vector<JobId>> assigned_;
   std::vector<std::optional<std::size_t>> machine_by_job_;
-  // Admission-test scratch, reused across the per-release probe of every
-  // open machine (mutable: the probes are logically const queries).
-  mutable std::vector<MachineCommitment> commit_scratch_;
+  // Admission-test scratch (the jobs with work left on the probed
+  // machine), reused across the per-release probe of every open machine
+  // (mutable: the probes are logically const queries).
+  mutable std::vector<JobId> commit_scratch_;
   mutable std::vector<std::size_t> feasible_scratch_;
 };
 

@@ -2,9 +2,12 @@
 //
 // EDF is optimal for preemptive feasibility on one machine, so "can this
 // machine still meet all its commitments (plus possibly one more job)?" is
-// decided exactly by simulating EDF over the event points. This test is the
-// admission rule of every non-migratory fit policy and of the offline KP
-// transform substitute.
+// decided exactly by simulating EDF over the event points. The offline KP
+// transform substitute uses this test, because its commitments have future
+// releases. The online fit policies do not: at a release every commitment
+// is already available, so they apply Jackson's rule instead
+// (NonMigratoryPolicy::machine_can_take), and the tests check the two
+// verdicts against each other.
 #pragma once
 
 #include <optional>
@@ -29,15 +32,6 @@ struct MachineCommitment {
 // start are treated as available at start).
 [[nodiscard]] bool edf_feasible_single_machine(
     std::vector<MachineCommitment> commitments, const Rat& start,
-    const Rat& speed = Rat(1));
-
-// In-place variant for callers that reuse a commitment buffer across many
-// admission tests (the fit policies probe every open machine at every
-// release): the vector's contents are consumed (reordered and mutated), but
-// its storage survives for the next fill. Same verdict as the by-value
-// overload.
-[[nodiscard]] bool edf_feasible_single_machine_inplace(
-    std::vector<MachineCommitment>& commitments, const Rat& start,
     const Rat& speed = Rat(1));
 
 // As above but with job identities, returning the concrete single-machine

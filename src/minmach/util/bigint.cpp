@@ -252,6 +252,44 @@ std::uint64_t gcd_u64(std::uint64_t a, std::uint64_t b) {
   return a << shift;
 }
 
+// Lehmer's leading parts are this wide so that u_hat + A and the other
+// bracket terms, and every cofactor, fit int64 with room to spare.
+constexpr std::size_t kLehmerBits = 62;
+
+// The magnitude (a, na) shifted right by `shift` bits. Callers pass a
+// magnitude below 2^(shift + kLehmerBits), so the result fits the leading
+// part.
+std::int64_t leading_bits(const Limb* a, std::size_t na, std::size_t shift) {
+  const std::size_t limb = shift / 64;
+  if (limb >= na) return 0;
+  WideLimb window = a[limb];
+  if (limb + 1 < na) window |= static_cast<WideLimb>(a[limb + 1]) << 64;
+  return static_cast<std::int64_t>(window >> (shift % 64));
+}
+
+// (t, w) <- (A u + B v, C u + D v) in one pass over the nu limbs of u
+// (v has nv <= nu). A and B, like C and D, have opposite signs and
+// magnitudes of at most 2^62, so each signed accumulator stays below 2^127
+// in magnitude; the arithmetic shift carries the borrow. Both results are
+// Euclid remainders of (u, v), hence non-negative and at most u: they fit
+// nu limbs and the final carries are zero.
+void lehmer_combine(const Limb* u, std::size_t nu, const Limb* v,
+                    std::size_t nv, std::int64_t a, std::int64_t b,
+                    std::int64_t c, std::int64_t d, Limb* t, Limb* w) {
+  __int128 carry_t = 0;
+  __int128 carry_w = 0;
+  for (std::size_t i = 0; i < nu; ++i) {
+    const __int128 ui = u[i];
+    const __int128 vi = i < nv ? v[i] : 0;
+    carry_t += a * ui + b * vi;
+    carry_w += c * ui + d * vi;
+    t[i] = static_cast<Limb>(carry_t);
+    w[i] = static_cast<Limb>(carry_w);
+    carry_t >>= 64;
+    carry_w >>= 64;
+  }
+}
+
 }  // namespace
 
 // ---- LimbStore ---------------------------------------------------------
@@ -488,38 +526,84 @@ BigInt BigInt::gcd(const BigInt& a_in, const BigInt& b_in) {
         gcd_u64(magnitude_of(a_in.value_), magnitude_of(b_in.value_));
     return from_mag(&g, 1, false);
   }
-  // Euclid on raw magnitudes in one arena scope. This loop dominates Rat
-  // normalization (~19 division steps per gcd on the deep adversary
-  // instances), so it must not materialize a BigInt per step: the quotient
-  // is never used, and the remainder rotates as a borrowed span until the
-  // single from_mag at the end.
+  // Lehmer's algorithm (TAOCP vol. 2, 4.5.2, Algorithm L) on raw
+  // magnitudes in one arena scope. Gcd dominates Rat normalization on the
+  // deep adversary instances, and a Knuth-D division per Euclid step is
+  // what makes it costly: Lehmer runs most steps on 62-bit leading parts
+  // and applies a whole run of them to the full operands in one linear
+  // pass.
   util::ArenaScope scope(util::thread_arena());
   Limb as;
   Limb bs;
   MagView av = a_in.mag_view(as);
   MagView bv = b_in.mag_view(bs);
-  // Copy both magnitudes into the scope: mag_view's small-tier scratch
-  // lives on this stack frame, and div_mod_mag may return a borrowed span
-  // of its dividend, so every span in the rotation must outlive the step.
-  Limb* ac = scope.alloc<Limb>(av.size);
-  std::copy(av.data, av.data + av.size, ac);
-  Limb* bc = scope.alloc<Limb>(bv.size);
-  std::copy(bv.data, bv.data + bv.size, bc);
-  MagSpan u{ac, av.size};
-  MagSpan v{bc, bv.size};
-  while (v.size > 0) {
-    // Down to single limbs: finish with binary gcd.
-    if (u.size <= 1 && v.size <= 1) {
-      std::uint64_t g = gcd_u64(u.size != 0 ? u.data[0] : 0, v.data[0]);
-      return from_mag(&g, 1, false);
+  if (compare_mag(av.data, av.size, bv.data, bv.size) < 0) std::swap(av, bv);
+  if (bv.size == 0) return from_mag(av.data, av.size, false);
+
+  // (u, v) with u >= v, plus the two outputs of a step; every later value
+  // is at most u, so av.size limbs each suffice.
+  const std::size_t cap = av.size;
+  Limb* u = scope.alloc<Limb>(4 * cap);
+  Limb* v = u + cap;
+  Limb* t = v + cap;
+  Limb* w = t + cap;
+  std::copy(av.data, av.data + av.size, u);
+  std::copy(bv.data, bv.data + bv.size, v);
+  std::size_t nu = av.size;
+  std::size_t nv = bv.size;
+  while (nv >= 2) {
+    // u_hat and v_hat: bits [shift, shift + 62) of u and v.
+    const std::size_t shift =
+        64 * nu - static_cast<std::size_t>(std::countl_zero(u[nu - 1])) -
+        kLehmerBits;
+    std::int64_t u_hat = leading_bits(u, nu, shift);
+    std::int64_t v_hat = leading_bits(v, nv, shift);
+    // Cofactors: the emulated pair is (A u + B v, C u + D v). The
+    // quotient is certain while both bracketing quotients agree; all four
+    // bracket terms stay in [0, 2^62], so int64 division floors.
+    std::int64_t a = 1;
+    std::int64_t b = 0;
+    std::int64_t c = 0;
+    std::int64_t d = 1;
+    while (v_hat + c != 0 && v_hat + d != 0) {
+      const std::int64_t q = (u_hat + a) / (v_hat + c);
+      if (q != (u_hat + b) / (v_hat + d)) break;
+      std::int64_t next = a - q * c;
+      a = c;
+      c = next;
+      next = b - q * d;
+      b = d;
+      d = next;
+      next = u_hat - q * v_hat;
+      u_hat = v_hat;
+      v_hat = next;
     }
-    MagSpan q{nullptr, 0};
-    MagSpan r{nullptr, 0};
-    div_mod_mag(u.data, u.size, v.data, v.size, scope, q, r);
-    u = v;
-    v = r;
+    if (b == 0) {
+      // Not even the first quotient is certain (v is much shorter than
+      // u, or the leading parts tie): one full-precision Euclid step.
+      MagSpan quotient;
+      MagSpan remainder;
+      div_mod_mag(u, nu, v, nv, scope, quotient, remainder);
+      std::copy(remainder.data, remainder.data + remainder.size, t);
+      std::swap(u, v);
+      std::swap(v, t);
+      nu = nv;
+      nv = remainder.size;
+    } else {
+      lehmer_combine(u, nu, v, nv, a, b, c, d, t, w);
+      nv = trim_mag(w, nu);
+      nu = trim_mag(t, nu);
+      std::swap(u, t);
+      std::swap(v, w);
+    }
   }
-  return from_mag(u.data, u.size, false);
+  if (nv == 0) return from_mag(u, nu, false);
+  // Single-limb v: one remainder pass brings u below 2^64 too.
+  Limb rem = 0;
+  for (std::size_t i = nu; i-- > 0;)
+    rem = static_cast<Limb>(((static_cast<WideLimb>(rem) << 64) | u[i]) % v[0]);
+  std::uint64_t g = gcd_u64(v[0], rem);
+  return from_mag(&g, 1, false);
 }
 
 BigInt BigInt::lcm(const BigInt& a, const BigInt& b) {

@@ -156,7 +156,8 @@ class BigInt {
     return std::strong_ordering::equal;
   }
 
-  // Non-negative result; magnitude-only Euclid on arena scratch.
+  // Non-negative result. Limb-tier operands run Lehmer's algorithm
+  // (62-bit leading parts, int64 cofactors) on arena scratch.
   [[nodiscard]] static BigInt gcd(const BigInt& a, const BigInt& b);
   [[nodiscard]] static BigInt lcm(const BigInt& a, const BigInt& b);
 

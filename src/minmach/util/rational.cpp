@@ -244,8 +244,9 @@ Rat& Rat::operator-=(const Rat& rhs) {
 }
 
 Rat& Rat::operator*=(const Rat& rhs) {
-  if (both_small(num_, den_) && both_small(rhs.num_, rhs.den_) &&
-      mul_small(rhs)) [[likely]] {
+  if ((both_small(num_, den_) && both_small(rhs.num_, rhs.den_) &&
+       mul_small(rhs)) ||
+      rhs.is_one()) [[likely]] {
     MINMACH_OBS_TALLY(rat_fast_ops);
     return *this;
   }
@@ -265,8 +266,9 @@ Rat& Rat::operator/=(const Rat& rhs) {
     den_ = BigInt(1);
     return *this;
   }
-  if (both_small(num_, den_) && both_small(rhs.num_, rhs.den_) &&
-      div_small(rhs)) [[likely]] {
+  if ((both_small(num_, den_) && both_small(rhs.num_, rhs.den_) &&
+       div_small(rhs)) ||
+      rhs.is_one()) [[likely]] {
     MINMACH_OBS_TALLY(rat_fast_ops);
     return *this;
   }

@@ -121,8 +121,9 @@ TEST(Arena, SpillAndArenaTalliesFeedTheRegistry) {
   // scratch from the thread arena (mem.arena_bytes).
   BigInt v(1);
   for (int i = 0; i < 24; ++i) v *= BigInt((std::int64_t{1} << 61) + 3);
-  // gcd of two multi-limb values runs Euclid's loop entirely on arena
-  // scratch (div_mod_mag's normalized dividend/divisor/quotient).
+  // gcd of two multi-limb values runs Lehmer's loop entirely on arena
+  // scratch (its operand and step buffers, and div_mod_mag's normalized
+  // dividend/divisor/quotient on a full-precision step).
   EXPECT_FALSE(BigInt::gcd(v, v + BigInt(1)).is_zero());
   obs::Snapshot snap = r.snapshot();
   // mem.* is execution-class, so the tallies land in the exec maps.

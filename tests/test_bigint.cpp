@@ -4,6 +4,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "minmach/util/rng.hpp"
 
@@ -310,6 +313,180 @@ TEST(BigInt, Int64MinArithmeticPromotes) {
   EXPECT_EQ(BigInt::gcd(value, value).to_string(), "9223372036854775808");
   EXPECT_EQ(BigInt::gcd(value, BigInt(3)).to_int64(), 1);
   EXPECT_EQ(BigInt::from_string("-9223372036854775808"), value);
+}
+
+// ----- gcd property suite: BigInt::gcd against a reference Euclid -----
+//
+// BigInt::gcd runs Lehmer's algorithm with int64 cofactors. The reference
+// below shares none of that code: plain Euclid on operator% (Knuth D).
+// Under the sanitize preset UBSan also checks every cofactor update and
+// __int128 accumulator in the Lehmer loop for signed overflow.
+
+BigInt reference_gcd(BigInt a, BigInt b) {
+  a = a.abs();
+  b = b.abs();
+  while (!b.is_zero()) {
+    BigInt r = a % b;
+    a = std::move(b);
+    b = std::move(r);
+  }
+  return a;
+}
+
+BigInt power_of_two(int k) {
+  BigInt out(1);
+  for (; k >= 62; k -= 62) out *= BigInt(std::int64_t{1} << 62);
+  return out * BigInt(std::int64_t{1} << k);
+}
+
+// A value of exactly `limbs` 64-bit limbs, its top limb of random width.
+BigInt random_limbs(Rng& rng, int limbs) {
+  const BigInt base32(std::int64_t{1} << 32);
+  BigInt out(0);
+  for (int i = 0; i < limbs; ++i) {
+    std::uint64_t limb = rng.next_u64();
+    if (i == 0) limb = (limb >> rng.uniform_int(0, 63)) | 1;
+    out = out * base32 + BigInt(static_cast<std::int64_t>(limb >> 32));
+    out = out * base32 + BigInt(static_cast<std::int64_t>(limb & 0xffffffffu));
+  }
+  return out;
+}
+
+BigInt random_sign(Rng& rng, BigInt value) {
+  return rng.uniform_int(0, 1) == 0 ? value : value.negated();
+}
+
+// gcd(a, b) equals the reference, is symmetric and non-negative, divides
+// both operands, and leaves coprime cofactors.
+void expect_gcd_properties(const BigInt& a, const BigInt& b) {
+  const BigInt g = BigInt::gcd(a, b);
+  ASSERT_EQ(g, reference_gcd(a, b)) << "gcd(" << a << ", " << b << ")";
+  EXPECT_EQ(BigInt::gcd(b, a), g) << "gcd(" << b << ", " << a << ")";
+  EXPECT_FALSE(g.is_negative());
+  if (g.is_zero()) {
+    EXPECT_TRUE(a.is_zero() && b.is_zero());
+    return;
+  }
+  EXPECT_TRUE((a % g).is_zero()) << a << " % " << g;
+  EXPECT_TRUE((b % g).is_zero()) << b << " % " << g;
+  EXPECT_EQ(BigInt::gcd(a / g, b / g), BigInt(1)) << a << ", " << b;
+}
+
+TEST(BigIntGcd, RandomOperandsOfOneToEightLimbs) {
+  Rng rng(15);
+  for (int la = 1; la <= 8; ++la) {
+    for (int lb = 1; lb <= 8; ++lb) {
+      for (int trial = 0; trial < 6; ++trial) {
+        const BigInt a = random_sign(rng, random_limbs(rng, la));
+        const BigInt b = random_sign(rng, random_limbs(rng, lb));
+        expect_gcd_properties(a, b);
+        // A shared factor of 1-3 limbs: the gcd is at least that factor.
+        const BigInt common =
+            random_limbs(rng, static_cast<int>(rng.uniform_int(1, 3)));
+        expect_gcd_properties(a * common, b * common);
+        EXPECT_TRUE((BigInt::gcd(a * common, b * common) % common).is_zero());
+      }
+    }
+  }
+}
+
+TEST(BigIntGcd, DivisorsAndEqualOperands) {
+  Rng rng(16);
+  for (int limbs = 1; limbs <= 8; ++limbs) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const BigInt a = random_limbs(rng, limbs);
+      const BigInt k =
+          random_limbs(rng, static_cast<int>(rng.uniform_int(1, 4)));
+      expect_gcd_properties(a, a * k);
+      EXPECT_EQ(BigInt::gcd(a * k, a), a);
+      expect_gcd_properties(a, a);
+      EXPECT_EQ(BigInt::gcd(a, a), a);
+      EXPECT_EQ(BigInt::gcd(a.negated(), a), a);
+      expect_gcd_properties(a + BigInt(1), a);  // consecutive: coprime
+      EXPECT_EQ(BigInt::gcd(a + BigInt(1), a), BigInt(1));
+    }
+  }
+}
+
+TEST(BigIntGcd, ZeroNegativesAndInt64Min) {
+  const std::int64_t min64 = std::numeric_limits<std::int64_t>::min();
+  Rng rng(17);
+  const BigInt big = random_limbs(rng, 3);
+  const BigInt two63 = BigInt(min64).negated();
+  BigInt forced_zero(0);
+  forced_zero.debug_force_promote();
+  for (const BigInt& zero : {BigInt(0), forced_zero}) {
+    EXPECT_EQ(BigInt::gcd(zero, big), big);
+    EXPECT_EQ(BigInt::gcd(big.negated(), zero), big);
+    EXPECT_EQ(BigInt::gcd(zero, zero), BigInt(0));
+    EXPECT_EQ(BigInt::gcd(zero, BigInt(min64)), two63);
+  }
+  const BigInt values[] = {BigInt(min64),
+                           two63,
+                           BigInt(min64 + 1),
+                           BigInt(-1),
+                           BigInt(1),
+                           BigInt(-6),
+                           big,
+                           big.negated(),
+                           big * two63,
+                           (big * BigInt(min64)) + BigInt(min64),
+                           power_of_two(200).negated(),
+                           BigInt(0)};
+  for (const BigInt& a : values) {
+    for (const BigInt& b : values) {
+      expect_gcd_properties(a, b);
+      // Non-canonical (forced limb-tier) inputs give the same answer.
+      BigInt fa = a;
+      BigInt fb = b;
+      fa.debug_force_promote();
+      fb.debug_force_promote();
+      EXPECT_EQ(BigInt::gcd(fa, fb), BigInt::gcd(a, b));
+    }
+  }
+  EXPECT_EQ(BigInt::gcd(BigInt(min64), power_of_two(200)), two63);
+  EXPECT_EQ(BigInt::gcd(big * two63, BigInt(min64)), two63);
+}
+
+// Consecutive Fibonacci numbers are Euclid's worst case: every quotient is
+// 1, so Lehmer's cofactors grow as large as 62-bit leading parts allow.
+// gcd(F_m, F_n) = F_gcd(m, n) gives the answer for any pair.
+TEST(BigIntGcd, FibonacciPairsUpToFourteenHundredBits) {
+  constexpr int kMax = 2020;  // F_2020 has 1398 bits
+  std::vector<BigInt> fib = {BigInt(0), BigInt(1)};
+  for (int k = 2; k <= kMax; ++k) fib.push_back(fib[k - 1] + fib[k - 2]);
+  ASSERT_GE(fib[kMax].bit_length(), 1390u);
+  Rng rng(18);
+  for (int k = 60; k < kMax; k += 3) {
+    EXPECT_EQ(BigInt::gcd(fib[k], fib[k + 1]), BigInt(1)) << "k=" << k;
+    EXPECT_EQ(BigInt::gcd(fib[k + 1], fib[k]), BigInt(1)) << "k=" << k;
+    const int n = static_cast<int>(rng.uniform_int(k / 2, kMax));
+    EXPECT_EQ(BigInt::gcd(fib[k], fib[n]), fib[std::gcd(k, n)])
+        << "m=" << k << " n=" << n;
+    const BigInt common = random_limbs(rng, 2);
+    EXPECT_EQ(BigInt::gcd(fib[k] * common, fib[k + 1] * common), common)
+        << "k=" << k;
+  }
+  for (int k = 80; k < kMax; k += 97) expect_gcd_properties(fib[k], fib[k + 1]);
+}
+
+// 2^a - 1 and 2^b - 1 share 2^gcd(a, b) - 1; the 2^k + 1 pairs exercise long
+// runs of equal leading bits.
+TEST(BigIntGcd, PowersOfTwoPlusMinusOne) {
+  for (int a = 62; a <= 700; a += 41) {
+    for (int b = 60; b <= a; b += 37) {
+      const BigInt pa = power_of_two(a);
+      const BigInt pb = power_of_two(b);
+      EXPECT_EQ(BigInt::gcd(pa - BigInt(1), pb - BigInt(1)),
+                power_of_two(std::gcd(a, b)) - BigInt(1))
+          << "a=" << a << " b=" << b;
+      expect_gcd_properties(pa - BigInt(1), pb - BigInt(1));
+      expect_gcd_properties(pa + BigInt(1), pb + BigInt(1));
+      expect_gcd_properties(pa + BigInt(1), pb - BigInt(1));
+      expect_gcd_properties(pa - BigInt(1), pb + BigInt(1));
+      expect_gcd_properties(pa, pb + BigInt(1));
+    }
+  }
 }
 
 }  // namespace

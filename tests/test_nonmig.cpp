@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "minmach/adversary/strong_lb.hpp"
+#include "minmach/algos/single_machine.hpp"
 #include "minmach/core/validate.hpp"
 #include "minmach/flow/feasibility.hpp"
 #include "minmach/gen/generators.hpp"
@@ -91,6 +97,112 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RuleCase>& info) {
       return fit_rule_name(info.param.rule);
     });
+
+// FirstFit that checks every admission verdict: machine_can_take (Jackson's
+// rule) on each open machine against the event-driven EDF simulation
+// edf_feasible_single_machine on the same active commitments plus the new
+// job.
+class CheckedFirstFit : public NonMigratoryPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "CheckedFirstFit"; }
+
+  std::size_t probes = 0;
+  std::size_t refusals = 0;
+  std::size_t max_operand_bits = 0;
+
+ protected:
+  std::size_t choose_machine(Simulator& sim, JobId job) override {
+    std::size_t chosen = open_machines();
+    for (std::size_t m = 0; m < open_machines(); ++m) {
+      std::vector<MachineCommitment> commitments;
+      for (JobId id : jobs_on(m)) {
+        if (sim.finished(id) || sim.missed(id)) continue;
+        commitments.push_back(
+            {sim.job(id).release, sim.job(id).deadline, sim.remaining(id)});
+      }
+      commitments.push_back(
+          {sim.job(job).release, sim.job(job).deadline, sim.remaining(job)});
+      for (const MachineCommitment& c : commitments) {
+        for (const Rat* value : {&c.deadline, &c.remaining}) {
+          max_operand_bits = std::max(
+              {max_operand_bits, value->num().bit_length(),
+               value->den().bit_length()});
+        }
+      }
+      const bool jackson = machine_can_take(sim, m, job);
+      const bool edf =
+          edf_feasible_single_machine(commitments, sim.now(), sim.speed());
+      ++probes;
+      if (!jackson) ++refusals;
+      if (jackson != edf) {
+        ADD_FAILURE() << "job " << job << " machine " << m << " at t="
+                      << sim.now() << " speed " << sim.speed()
+                      << ": Jackson " << jackson << ", EDF " << edf;
+      }
+      if (jackson && chosen == open_machines()) chosen = m;
+    }
+    return chosen;
+  }
+};
+
+TEST(FitPolicy, AdmissionMatchesEventDrivenEdfOnEveryFamily) {
+  const Rat alpha(1, 2);
+  GenConfig config;
+  config.n = 60;
+  std::size_t refusals = 0;
+  for (const Rat& speed : {Rat(1), Rat(3, 2)}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed);
+      const Instance instances[] = {
+          gen_general(rng, config),
+          gen_agreeable(rng, config),
+          gen_laminar(rng, config),
+          gen_loose(rng, config, alpha),
+          gen_tight(rng, config, alpha),
+          gen_agreeable_tight(rng, config, alpha),
+          gen_laminar_tight(rng, config, alpha),
+          gen_unit(rng, config)};
+      for (const Instance& in : instances) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        CheckedFirstFit policy;
+        SimRun run = simulate(policy, in, speed);
+        EXPECT_FALSE(run.missed);
+        EXPECT_GT(policy.probes, 0u);
+        refusals += policy.refusals;
+      }
+    }
+  }
+  EXPECT_GT(refusals, 0u);  // both verdicts were exercised
+}
+
+// The Theorem 3 game rescales each level by a quantity read off the
+// opponent's schedule; from depth 7 on its operands pass 128 bits.
+TEST(FitPolicy, AdmissionMatchesEventDrivenEdfInStrongLbGames) {
+  struct Game {
+    Rat alpha;
+    Rat beta;
+    int levels;
+  };
+  const Game games[] = {
+      {Rat(3, 4), Rat(1, 4), 6}, {Rat(3, 4), Rat(1, 4), 7},
+      {Rat(3, 4), Rat(1, 4), 8}, {Rat(3, 4), Rat(1, 5), 7},
+      {Rat(4, 5), Rat(1, 5), 7}, {Rat(5, 6), Rat(1, 6), 7}};
+  for (const Game& game : games) {
+    SCOPED_TRACE(::testing::Message() << "alpha " << game.alpha << " beta "
+                                      << game.beta << " levels "
+                                      << game.levels);
+    StrongLbParams params;
+    params.alpha = game.alpha;
+    params.beta = game.beta;
+    CheckedFirstFit policy;
+    StrongLbResult result = run_strong_lower_bound(policy, game.levels, params);
+    EXPECT_FALSE(result.opponent_missed_deadline);
+    EXPECT_GT(policy.refusals, 0u);
+    if (game.levels >= 7) {
+      EXPECT_GT(policy.max_operand_bits, 128u);
+    }
+  }
+}
 
 TEST(FitPolicy, NamesAreDistinct) {
   EXPECT_STREQ(fit_rule_name(FitRule::kFirstFit), "FirstFit");

@@ -188,5 +188,43 @@ TEST(SubstrateDiff, RatBoundaryStraddlingAndOverflowFallback) {
   EXPECT_EQ(huge / huge, Rat(1));
 }
 
+// x * 1 and x / 1 return x untouched; the value must be exactly what the
+// general path computes, for limb-tier components and for a non-canonical
+// (forced limb-tier) one, and 1 * x must agree with x * 1.
+TEST(SubstrateDiff, RatUnitOperandOnPromotedValues) {
+  const BigInt big_num =
+      BigInt::from_string("-123456789123456789123456789123456789");
+  const BigInt big_den = BigInt::from_string("987654321987654321987654322");
+  const Rat one(1);
+  const Rat forced_one(promoted(1), promoted(1));
+  const Rat values[] = {Rat(big_num, big_den), Rat(big_num, BigInt(1)),
+                        Rat(BigInt(3), big_den), Rat(kMin, 3),
+                        Rat(BigInt(kMax) * BigInt(kMax), BigInt(kMin)),
+                        Rat(0), Rat(7, 2)};
+  for (const Rat& x : values) {
+    EXPECT_EQ(x * one, x) << x;
+    EXPECT_EQ(x / one, x) << x;
+    EXPECT_EQ(one * x, x) << x;
+    EXPECT_EQ(x * forced_one, x) << x;
+    EXPECT_EQ(x / forced_one, x) << x;
+    EXPECT_EQ(forced_one * x, x) << x;
+    EXPECT_EQ(x * one, x * Rat(2) / Rat(2)) << x;
+    Rat in_place = x;
+    in_place *= one;
+    in_place /= one;
+    EXPECT_EQ(in_place, x) << x;
+    EXPECT_EQ(in_place.num().is_small(), x.num().is_small()) << x;
+    EXPECT_EQ(in_place.den().is_small(), x.den().is_small()) << x;
+  }
+  // The alias paths still hold: x / x == 1 and 1 * 1 == 1.
+  Rat alias(big_num, big_den);
+  alias /= alias;
+  EXPECT_EQ(alias, one);
+  Rat unit(1);
+  unit *= unit;
+  unit /= unit;
+  EXPECT_EQ(unit, one);
+}
+
 }  // namespace
 }  // namespace minmach
