@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace minmach;
   Cli cli(argc, argv);
-  const std::int64_t trials = cli.get_int("trials", 40);
+  const std::int64_t trials = bench::positive_count_flag(cli, "trials", 40, 0);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   bench::Run ctx(cli, "E2: Theorem 1 -- optimum = max interval-union load",
                  "m = max_I ceil(C(S,I)/|I|), attained by some finite union I");

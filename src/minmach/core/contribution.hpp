@@ -35,9 +35,10 @@ struct LoadBound {
 
 // Max over all single intervals [a, b) with a, b event points. This is a
 // valid lower bound on m for every instance (not necessarily tight).
-// Evaluated by the O(n^2) incremental sweep of core/load_sweep.hpp; the
-// witness (first maximizing pair in (a, b) scan order) matches the
-// reference scan exactly.
+// Evaluated by the O(n^2) incremental sweep of core/load_sweep.hpp: the
+// int64 kernel on the instance's integer grid (core/grid.hpp), the Rat
+// sweep off it. The witness (first maximizing pair in (a, b) scan order)
+// matches the reference scan exactly.
 [[nodiscard]] LoadBound load_bound_single_interval(const Instance& instance);
 
 // The pre-sweep O(n * S^2) evaluation of the same bound: recomputes
@@ -48,8 +49,12 @@ struct LoadBound {
     const Instance& instance);
 
 // Exact Theorem 1 value: max over all unions of elementary segments between
-// consecutive event points (2^k - 1 candidates). Returns std::nullopt when
-// the instance has more than max_segments elementary segments.
+// consecutive event points (2^S - 1 candidates for S segments). Returns
+// std::nullopt when the instance has more than max_segments elementary
+// segments. A bitmask scan: O(2^S * n) time on the integer grid
+// (core/grid.hpp; exact Rat arithmetic off it) and O(2^ceil(S/2)) memory
+// for the segment-length subset sums. The witness is the first maximizing
+// union in ascending mask order (bit s = segment s).
 [[nodiscard]] std::optional<LoadBound> load_bound_exhaustive(
     const Instance& instance, std::size_t max_segments = 18);
 

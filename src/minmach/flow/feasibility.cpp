@@ -10,6 +10,7 @@
 #include "minmach/algos/pack_ub.hpp"
 #include "minmach/core/bounds.hpp"
 #include "minmach/core/canonical.hpp"
+#include "minmach/core/grid.hpp"
 #include "minmach/core/load_sweep.hpp"
 #include "minmach/core/load_sweep_simd.hpp"
 #include "minmach/flow/dinic.hpp"
@@ -26,52 +27,12 @@ namespace {
 
 // ---- integer fast path -------------------------------------------------
 //
-// When every time parameter fits a common small grid (LCM of denominators
-// times values fits in int64 with headroom for m * length sums), the Horn
-// network runs over __int128 capacities instead of BigInt rationals --
-// typically 50-100x faster. Adversarial instances with unbounded
-// denominators fall back to the exact rational network.
-
-struct IntegerGrid {
-  bool usable = false;
-  std::vector<std::int64_t> release;
-  std::vector<std::int64_t> deadline;
-  std::vector<std::int64_t> processing;
-  // Multiplier taking original Rat values onto the grid (the denominator
-  // lcm; 1 for the small-integer fast path). The dynamic oracle keeps it so
-  // later insert_job() calls can scale new jobs onto the SAME grid -- or
-  // detect that they do not fit and fall back to the rational network.
-  Rat scale{1};
-};
-
-IntegerGrid try_integer_grid(const Instance& instance) {
-  IntegerGrid grid;
-  BigInt lcm = instance.denominator_lcm();
-  // Guard: scaled values must fit comfortably (sums of m * length stay
-  // within __int128 as long as individual values fit int64 / n).
-  if (lcm.bit_length() > 40) return grid;
-  const Rat scale(lcm, BigInt(1));
-  grid.release.reserve(instance.size());
-  grid.deadline.reserve(instance.size());
-  grid.processing.reserve(instance.size());
-  // Scales one field, or reports the grid unusable; each value is scaled
-  // exactly once.
-  auto scale_into = [&scale](const Rat& value, std::vector<std::int64_t>& out) {
-    BigInt scaled = (value * scale).num();  // integral by construction
-    if (scaled.bit_length() > 62) return false;
-    out.push_back(scaled.to_int64());
-    return true;
-  };
-  for (const Job& j : instance.jobs()) {
-    if (!scale_into(j.release, grid.release) ||
-        !scale_into(j.deadline, grid.deadline) ||
-        !scale_into(j.processing, grid.processing))
-      return grid;
-  }
-  grid.usable = true;
-  grid.scale = scale;
-  return grid;
-}
+// When every time parameter fits the instance's integer grid
+// (core/grid.hpp: LCM of denominators times values fits in int64 with
+// headroom for m * length sums), the Horn network runs over __int128
+// capacities instead of BigInt rationals -- typically 50-100x faster.
+// Adversarial instances with unbounded denominators fall back to the exact
+// rational network.
 
 // SIMD-mode shortcut for the common all-integer case (DESIGN.md §12):
 // when every job field is already a small integer within the same 62-bit
@@ -1031,12 +992,7 @@ void FeasibilityOracle::Impl::normalize(const Instance& instance) {
     net.release.assign(grid.release.begin(), grid.release.end());
     net.deadline.assign(grid.deadline.begin(), grid.deadline.end());
     net.processing.assign(grid.processing.begin(), grid.processing.end());
-    std::vector<std::int64_t> ipoints;
-    ipoints.reserve(2 * n);
-    ipoints.insert(ipoints.end(), grid.release.begin(), grid.release.end());
-    ipoints.insert(ipoints.end(), grid.deadline.begin(), grid.deadline.end());
-    std::sort(ipoints.begin(), ipoints.end());
-    ipoints.erase(std::unique(ipoints.begin(), ipoints.end()), ipoints.end());
+    const std::vector<std::int64_t> ipoints = grid.event_points();
     if (points.empty()) {
       // Fast-path entry: the density bound from int64 values. ipoints is
       // the same set the Rat event points would form, so span and

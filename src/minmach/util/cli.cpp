@@ -1,8 +1,30 @@
 #include "minmach/util/cli.hpp"
 
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 namespace minmach {
+
+namespace {
+
+// Parses the whole of `text` as a T, or throws naming the flag.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text,
+               const char* expected) {
+  T out{};
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, out);
+  if (error == std::errc::result_out_of_range)
+    throw std::invalid_argument("Cli: --" + key + " is out of range (got '" +
+                                text + "')");
+  if (error != std::errc() || end != last)
+    throw std::invalid_argument("Cli: --" + key + " expects " + expected +
+                                " (got '" + text + "')");
+  return out;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -12,38 +34,48 @@ Cli::Cli(int argc, char** argv) {
     auto eq = arg.find('=');
     std::string key =
         eq == std::string::npos ? arg.substr(2) : arg.substr(2, eq - 2);
-    std::string value = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-    values_[key] = value;
+    values_[key] = eq == std::string::npos
+                       ? std::nullopt
+                       : std::optional<std::string>(arg.substr(eq + 1));
     seen_[key] = false;
   }
 }
 
-std::int64_t Cli::get_int(const std::string& key, std::int64_t default_value) {
+const std::string* Cli::value_of(const std::string& key) {
   auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
+  if (it == values_.end()) return nullptr;
   seen_[key] = true;
-  return std::stoll(it->second);
+  if (!it->second)
+    throw std::invalid_argument("Cli: --" + key + " needs a value (--" + key +
+                                "=...)");
+  return &*it->second;
+}
+
+std::int64_t Cli::get_int(const std::string& key, std::int64_t default_value) {
+  const std::string* value = value_of(key);
+  if (value == nullptr) return default_value;
+  return parse_number<std::int64_t>(key, *value, "an integer");
 }
 
 double Cli::get_double(const std::string& key, double default_value) {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
-  seen_[key] = true;
-  return std::stod(it->second);
+  const std::string* value = value_of(key);
+  if (value == nullptr) return default_value;
+  return parse_number<double>(key, *value, "a number");
 }
 
 std::string Cli::get_string(const std::string& key, std::string default_value) {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
-  seen_[key] = true;
-  return it->second;
+  const std::string* value = value_of(key);
+  if (value == nullptr) return default_value;
+  return *value;
 }
 
 bool Cli::get_bool(const std::string& key, bool default_value) {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   seen_[key] = true;
-  return it->second == "1" || it->second == "true" || it->second == "yes";
+  if (!it->second) return true;  // a bare switch
+  const std::string& value = *it->second;
+  return value == "1" || value == "true" || value == "yes";
 }
 
 bool Cli::was_given(const std::string& key) const {

@@ -1,10 +1,13 @@
 // Tiny --key=value flag parser for the bench/example binaries. Unknown flags
 // throw, so typos in experiment sweeps fail loudly rather than silently
-// running the default configuration.
+// running the default configuration. So do malformed values: numbers must
+// span the whole token, and only a boolean switch may be given bare
+// (--key); every refusal is a std::invalid_argument naming the flag.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 namespace minmach {
@@ -28,7 +31,12 @@ class Cli {
   void check_unknown() const;
 
  private:
-  std::map<std::string, std::string> values_;
+  // The flag's value, or nullptr when it is absent; registers the key as
+  // known. Throws when the flag was given bare.
+  const std::string* value_of(const std::string& key);
+
+  // std::nullopt for a bare --key.
+  std::map<std::string, std::optional<std::string>> values_;
   std::map<std::string, bool> seen_;
 };
 

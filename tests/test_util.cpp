@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "minmach/util/cli.hpp"
 #include "minmach/util/rng.hpp"
@@ -47,6 +49,53 @@ TEST(Cli, RejectsUnknownAndMalformed) {
   (void)cli.get_int("n", 0);  // never reads --typo
   EXPECT_THROW(cli.check_unknown(), std::invalid_argument);
   EXPECT_THROW(make_cli({"positional"}), std::invalid_argument);
+}
+
+// Runs `read` and expects a std::invalid_argument whose message names the
+// flag.
+template <typename Read>
+void expect_refused(Read read, const std::string& flag) {
+  try {
+    read();
+    ADD_FAILURE() << flag << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(flag), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Cli, IntMustSpanTheWholeToken) {
+  Cli cli = make_cli({"--trials=2x", "--seed=", "--big=99999999999999999999",
+                      "--space=4 ", "--neg=-3"});
+  expect_refused([&] { (void)cli.get_int("trials", 0); }, "--trials");
+  expect_refused([&] { (void)cli.get_int("seed", 0); }, "--seed");
+  expect_refused([&] { (void)cli.get_int("big", 0); }, "--big");
+  expect_refused([&] { (void)cli.get_int("space", 0); }, "--space");
+  EXPECT_EQ(cli.get_int("neg", 0), -3);  // the caller decides the range
+}
+
+TEST(Cli, DoubleMustSpanTheWholeToken) {
+  Cli cli = make_cli({"--ratio=2.5x", "--alpha=", "--huge=1e999",
+                      "--exp=1e-3"});
+  expect_refused([&] { (void)cli.get_double("ratio", 0.0); }, "--ratio");
+  expect_refused([&] { (void)cli.get_double("alpha", 0.0); }, "--alpha");
+  expect_refused([&] { (void)cli.get_double("huge", 0.0); }, "--huge");
+  EXPECT_DOUBLE_EQ(cli.get_double("exp", 0.0), 1e-3);
+}
+
+TEST(Cli, OnlyBoolAcceptsABareFlag) {
+  Cli cli = make_cli({"--report", "--trials", "--ratio", "--verbose"});
+  expect_refused([&] { (void)cli.get_string("report", ""); }, "--report");
+  expect_refused([&] { (void)cli.get_int("trials", 1); }, "--trials");
+  expect_refused([&] { (void)cli.get_double("ratio", 1.0); }, "--ratio");
+  EXPECT_TRUE(cli.get_bool("verbose", false));
+}
+
+TEST(Cli, EmptyValueIsNotABareFlag) {
+  Cli cli = make_cli({"--out="});
+  EXPECT_EQ(cli.get_string("out", "default"), "");
+  EXPECT_TRUE(cli.was_given("out"));
+  EXPECT_NO_THROW(cli.check_unknown());
 }
 
 // ---- Table ----
