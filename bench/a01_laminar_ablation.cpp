@@ -23,7 +23,7 @@
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::uint64_t seed =
@@ -123,4 +123,6 @@ int main(int argc, char** argv) {
                "WORST-CASE instances ([10, Thm 2.13]) where the balanced\n"
                "split provably cannot (Theorem 9 has no greedy analogue).\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

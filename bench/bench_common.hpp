@@ -56,6 +56,17 @@ inline void require(bool condition, const std::string& message) {
   }
 }
 
+// Every driver's main is a function-try-block whose one handler is
+//   catch (const CliError& error) { return bench::usage_error(error); }
+// so a malformed command line (unknown flag, bad number, bare value flag)
+// prints `error: <message>` and exits 2, like the flag checks below, while
+// any other exception still aborts.
+inline int usage_error(const CliError& error) {
+  std::cout.flush();
+  std::cerr << "error: " << error.what() << "\n";
+  return 2;
+}
+
 // Default entry budget for --cache-capacity (~3 MB of verdicts).
 inline constexpr std::int64_t kDefaultCacheCapacity = 1 << 16;
 

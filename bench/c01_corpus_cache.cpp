@@ -117,7 +117,7 @@ MixMeasurement query_mix(const std::vector<Instance>& mix) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli(argc, argv);
   const int levels = static_cast<int>(cli.get_int("levels", 6));
   const std::size_t sweep_n =
@@ -370,4 +370,6 @@ int main(int argc, char** argv) {
   os << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

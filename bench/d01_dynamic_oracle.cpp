@@ -105,7 +105,7 @@ std::uint64_t counter_delta(const char* name, std::uint64_t before) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli(argc, argv);
   const std::int64_t sessions = bench::positive_count_flag(cli, "sessions", 1024);
   const std::int64_t events = bench::positive_count_flag(cli, "events", 32);
@@ -346,4 +346,6 @@ int main(int argc, char** argv) {
   os << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

@@ -18,7 +18,7 @@
 #include "minmach/util/cli.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const int max_levels = static_cast<int>(cli.get_int("max-levels", 8));
@@ -109,4 +109,6 @@ int main(int argc, char** argv) {
                "machines/log2(n) column stays bounded away from 0\n"
                "(the Omega(log n) rate).\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

@@ -14,7 +14,7 @@
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::int64_t trials = bench::positive_count_flag(cli, "trials", 40, 0);
@@ -88,4 +88,6 @@ int main(int argc, char** argv) {
                "flow OPT in " << valid << "/" << big_trials << " trials\n"
             << "Theorem 1 equality held in every enumerable trial above.\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

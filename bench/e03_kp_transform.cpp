@@ -13,7 +13,7 @@
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::int64_t trials = cli.get_int("trials", 8);
@@ -71,4 +71,6 @@ int main(int argc, char** argv) {
                "family -- offline, migration's power is bounded\n(this is "
                "what collapses in the ONLINE setting, see E1).\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

@@ -14,7 +14,7 @@
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 4));
@@ -90,4 +90,6 @@ int main(int argc, char** argv) {
   ctx.check("competitive ratio constant-like", Table::fmt(worst_ratio, 3),
             "25.000", worst_ratio <= 25.0);
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

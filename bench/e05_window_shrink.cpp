@@ -13,7 +13,7 @@
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::int64_t trials = cli.get_int("trials", 6);
@@ -83,4 +83,6 @@ int main(int argc, char** argv) {
                "the m/(1-gamma)+1 bound at\nevery gamma, and grow as gamma "
                "-> 1 (laxity removal genuinely costs machines).\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

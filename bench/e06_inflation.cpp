@@ -14,7 +14,7 @@
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::int64_t trials = cli.get_int("trials", 5);
@@ -93,4 +93,6 @@ int main(int argc, char** argv) {
                "s-ish) at every setting,\nexactly the Lemma 4 behaviour the "
                "Theorem 6 reduction relies on.\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

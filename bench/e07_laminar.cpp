@@ -17,7 +17,7 @@
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
@@ -68,4 +68,6 @@ int main(int argc, char** argv) {
                "times m*log2(m) as n grows\n(Theorem 9), with zero "
                "assignment failures at the theorem budget.\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

@@ -15,7 +15,7 @@
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 8));
@@ -108,4 +108,6 @@ int main(int argc, char** argv) {
             << "Measured machine counts sit far below the worst-case bound "
                "but follow its U-shape in alpha.\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

@@ -29,7 +29,7 @@ minmach::Instance staircase(std::int64_t n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 9));
@@ -103,4 +103,6 @@ int main(int argc, char** argv) {
                "(unbounded), the centered\nanchor stays near-constant -- "
                "the paper's justification for running jobs in the middle.\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

@@ -15,7 +15,7 @@
 #include "minmach/util/cli.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::int64_t m = cli.get_int("m", 16);
@@ -74,4 +74,6 @@ int main(int argc, char** argv) {
                "instances stay feasible on m machines (agreeable, unit "
                "jobs).\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

@@ -15,7 +15,7 @@
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::uint64_t seed =
@@ -96,4 +96,6 @@ int main(int argc, char** argv) {
                "or below the m/(1-alpha)^2\nbound at every alpha; the bound "
                "steepens as alpha -> 1 (tighter jobs).\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

@@ -13,7 +13,7 @@
 #include "minmach/util/cli.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::int64_t max_delta = cli.get_int("max-delta", 64);
@@ -61,4 +61,6 @@ int main(int argc, char** argv) {
                "(the Omega(Delta) failure mode);\nLLF's stays flat -- the "
                "contrast motivating laxity-aware scheduling in Section 1.\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

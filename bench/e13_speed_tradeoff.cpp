@@ -20,7 +20,7 @@
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const std::uint64_t seed =
@@ -101,4 +101,6 @@ int main(int argc, char** argv) {
                "non-increasing in the speed and\nsits far below the CLT "
                "worst-case bound -- the trade-off Theorem 6 plugs into.\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

@@ -15,7 +15,7 @@
 #include "minmach/sim/engine.hpp"
 #include "minmach/util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace minmach;
   Cli cli(argc, argv);
   const int levels = static_cast<int>(cli.get_int("levels", 4));
@@ -66,4 +66,6 @@ int main(int argc, char** argv) {
             std::to_string(online.schedule.migration_count()), "0",
             online.schedule.migration_count() == 0);
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

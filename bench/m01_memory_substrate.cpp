@@ -212,7 +212,7 @@ void family_e05(std::uint64_t seed, std::size_t n, int trials) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli(argc, argv);
   // The adversary needs two levels, and e04's doubling sweep starts at
   // --sweep-n / 4, which must not be 0.
@@ -425,4 +425,6 @@ int main(int argc, char** argv) {
   os << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

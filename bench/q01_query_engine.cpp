@@ -125,7 +125,7 @@ std::uint64_t shrink_sweep_pass(const std::vector<Instance>& bases,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli(argc, argv);
   const int levels = static_cast<int>(cli.get_int("levels", 6));
   const int repeats = static_cast<int>(cli.get_int("repeats", 3));
@@ -276,4 +276,6 @@ int main(int argc, char** argv) {
   os << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

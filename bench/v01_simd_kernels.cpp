@@ -156,7 +156,7 @@ EndToEnd measure_opt(const Instance& instance, util::simd::Mode mode,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli(argc, argv);
   const std::string sizes_csv = cli.get_string("sizes", "500,1000,2000,4000");
   const std::int64_t reps = cli.get_int("reps", 3);
@@ -486,4 +486,6 @@ int main(int argc, char** argv) {
   os << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
+} catch (const minmach::CliError& error) {
+  return minmach::bench::usage_error(error);
 }

@@ -29,9 +29,14 @@ void Schedule::add_slot(std::size_t machine, Rat start, Rat end, JobId job) {
 }
 
 void Schedule::canonicalize() {
+  const auto by_start = [](const Slot& a, const Slot& b) {
+    return a.start < b.start;
+  };
   for (auto& machine : machines_) {
-    std::sort(machine.begin(), machine.end(),
-              [](const Slot& a, const Slot& b) { return a.start < b.start; });
+    // The simulator's trace and the flow layout append in start order, so
+    // most machines need no sort. Equal starts throw below either way.
+    if (!std::is_sorted(machine.begin(), machine.end(), by_start))
+      std::sort(machine.begin(), machine.end(), by_start);
     std::vector<Slot> merged;
     for (auto& slot : machine) {
       if (!merged.empty() && slot.start < merged.back().end)

@@ -78,57 +78,172 @@ SmallGrid try_small_integer_grid(const Instance& instance) {
 }
 
 // ---- allocation network (solve_migratory) ------------------------------
+//
+// One template over the value type V, the way the oracle's network is:
+// V = __int128 on the instance's integer grid (core/grid.hpp), Rat only
+// when that grid is unusable. Every value is the Rat one times the
+// denominator lcm L > 0, and both Dinic and the wrap-around layout only
+// add, subtract, compare and take minima, so the routed flow and every
+// slot come out exactly L times the Rat values; each is mapped back to Rat
+// once, at the end.
 
-struct Network {
-  Dinic<Rat> graph;
-  std::vector<Rat> points;
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
-      job_segment_edges;  // per job: (segment index, edge handle)
-  Rat total_work;
+// The job fields and event points as parallel columns in one domain.
+template <typename V>
+struct AllocationInput {
+  std::vector<V> release, deadline, processing;
+  std::vector<V> points;  // sorted, deduplicated releases and deadlines
+};
+
+template <typename V>
+struct AllocationNet {
+  Dinic<V> graph;
+  std::vector<std::vector<std::pair<JobId, std::size_t>>>
+      segment_edges;  // per segment: (job, edge handle), jobs ascending
+  V total_work;
   std::size_t source;
   std::size_t sink;
 };
 
-// Dense per-segment network, kept for allocation extraction: reading off
-// per-job per-segment processing needs one addressable edge per pair, so
-// the tree compression does not apply here. Job ranges are binary-searched
-// (both window endpoints are event points) instead of scanning all S
-// segments per job.
-Network build_network(const Instance& instance, std::int64_t machines) {
-  std::vector<Rat> points = instance.event_points();
-  const std::size_t n = instance.size();
+// Builds the dense per-segment network and routes its max flow; the
+// network when every job's work is routed, std::nullopt otherwise. Dense,
+// because reading off per-job per-segment processing needs one addressable
+// edge per pair, so the tree compression does not apply here. Job ranges
+// are binary-searched (both window endpoints are event points) instead of
+// scanning all S segments per job.
+template <typename V>
+std::optional<AllocationNet<V>> solve_allocation(const AllocationInput<V>& in,
+                                                 std::int64_t machines) {
+  obs::ProfileSpan span("solve_allocation");
+  const std::vector<V>& points = in.points;
+  const std::size_t n = in.release.size();
   const std::size_t segments = points.empty() ? 0 : points.size() - 1;
   // Node layout: 0 = source, 1..n = jobs, n+1..n+segments = segments, last =
   // sink.
-  Network net{Dinic<Rat>(n + segments + 2),
-              points,
-              std::vector<std::vector<std::pair<std::size_t, std::size_t>>>(n),
-              Rat(0),
-              0,
-              n + segments + 1};
+  AllocationNet<V> net{
+      Dinic<V>(n + segments + 2),
+      std::vector<std::vector<std::pair<JobId, std::size_t>>>(segments), V(0),
+      0, n + segments + 1};
 
-  const Rat m_rat(machines);
-  for (std::size_t k = 0; k < segments; ++k) {
-    Rat length = net.points[k + 1] - net.points[k];
-    net.graph.add_edge(n + 1 + k, net.sink, m_rat * length);
-  }
+  const V m_value(machines);
+  for (std::size_t k = 0; k < segments; ++k)
+    net.graph.add_edge(n + 1 + k, net.sink,
+                       m_value * (points[k + 1] - points[k]));
   for (std::size_t j = 0; j < n; ++j) {
-    const Job& job = instance.job(j);
-    net.total_work += job.processing;
-    net.graph.add_edge(net.source, 1 + j, job.processing);
+    net.total_work += in.processing[j];
+    net.graph.add_edge(net.source, 1 + j, in.processing[j]);
     const std::size_t lo = static_cast<std::size_t>(
-        std::lower_bound(net.points.begin(), net.points.end(), job.release) -
-        net.points.begin());
+        std::lower_bound(points.begin(), points.end(), in.release[j]) -
+        points.begin());
     const std::size_t hi = static_cast<std::size_t>(
-        std::lower_bound(net.points.begin(), net.points.end(), job.deadline) -
-        net.points.begin());
+        std::lower_bound(points.begin(), points.end(), in.deadline[j]) -
+        points.begin());
     for (std::size_t k = lo; k < hi; ++k) {
-      Rat length = net.points[k + 1] - net.points[k];
-      std::size_t handle = net.graph.add_edge(1 + j, n + 1 + k, length);
-      net.job_segment_edges[j].emplace_back(k, handle);
+      std::size_t handle =
+          net.graph.add_edge(1 + j, n + 1 + k, points[k + 1] - points[k]);
+      net.segment_edges[k].emplace_back(static_cast<JobId>(j), handle);
     }
   }
+
+  const bool routed =
+      net.graph.max_flow(net.source, net.sink) == net.total_work;
+  const DinicStats& stats = net.graph.stats();
+  obs::Registry& registry = obs::Registry::global();
+  registry.counter("flow.bfs_passes").add(stats.bfs_passes);
+  registry.counter("flow.augmenting_paths").add(stats.augmenting_paths);
+  registry.counter("flow.edge_visits").add(stats.edge_visits);
+  if (!routed) return std::nullopt;
   return net;
+}
+
+// McNaughton's wrap-around rule inside each segment: lay the jobs' pieces
+// end-to-end across machines, jobs ascending; a piece split at a machine
+// boundary cannot overlap itself because each piece is at most the segment
+// length. Each machine receives its pieces in start order, so a piece that
+// continues the machine's last slot with the same job extends it -- the
+// merge canonicalize() would make -- and only finished slots are mapped
+// back to Rat.
+template <typename V, typename ToRat>
+Schedule wrap_around(const std::vector<V>& points, const AllocationNet<V>& net,
+                     std::int64_t machines, ToRat to_rat) {
+  obs::ProfileSpan span("schedule_layout");
+  struct OpenSlot {
+    V start{0}, end{0};
+    JobId job = kInvalidJob;
+  };
+  Schedule schedule(static_cast<std::size_t>(machines));
+  std::vector<OpenSlot> open(static_cast<std::size_t>(machines));
+  auto close = [&](std::size_t machine) {
+    const OpenSlot& slot = open[machine];
+    if (slot.job != kInvalidJob)
+      schedule.add_slot(machine, to_rat(slot.start), to_rat(slot.end),
+                        slot.job);
+  };
+  for (std::size_t k = 0; k < net.segment_edges.size(); ++k) {
+    const V& seg_start = points[k];
+    const V& seg_end = points[k + 1];
+    std::size_t machine = 0;
+    V cursor = seg_start;
+    for (const auto& [job, handle] : net.segment_edges[k]) {
+      V remaining = net.graph.flow_on(handle);
+      while (V(0) < remaining) {
+        if (!(cursor < seg_end)) {
+          ++machine;
+          cursor = seg_start;
+        }
+        const V available = seg_end - cursor;
+        const V chunk = available < remaining ? available : remaining;
+        if (machine >= static_cast<std::size_t>(machines))
+          throw std::logic_error(
+              "optimal_migratory_schedule: McNaughton overflow");
+        V end = cursor + chunk;
+        OpenSlot& slot = open[machine];
+        if (slot.job == job && slot.end == cursor) {
+          slot.end = end;
+        } else {
+          close(machine);
+          slot = {cursor, end, job};
+        }
+        cursor = std::move(end);
+        remaining -= chunk;
+      }
+    }
+  }
+  for (std::size_t machine = 0; machine < open.size(); ++machine)
+    close(machine);
+  schedule.canonicalize();
+  return schedule;
+}
+
+// Runs body(input, to_rat) on the instance in its value domain: the
+// integer grid when try_integer_grid accepts it, exact Rat otherwise.
+// to_rat maps a domain value back to the instance's time axis.
+template <typename Body>
+auto in_value_domain(const Instance& instance, Body body) {
+  const IntegerGrid grid = try_integer_grid(instance);
+  if (grid.usable) {
+    const std::vector<std::int64_t> points = grid.event_points();
+    const AllocationInput<__int128> in{
+        {grid.release.begin(), grid.release.end()},
+        {grid.deadline.begin(), grid.deadline.end()},
+        {grid.processing.begin(), grid.processing.end()},
+        {points.begin(), points.end()}};
+    // Grid values, window lengths and the pieces inside them fit int64
+    // (the 62-bit guard of try_integer_grid).
+    return body(in, [&grid](const __int128& v) {
+      return grid.to_rat(static_cast<std::int64_t>(v));
+    });
+  }
+  AllocationInput<Rat> in;
+  in.release.reserve(instance.size());
+  in.deadline.reserve(instance.size());
+  in.processing.reserve(instance.size());
+  for (const Job& job : instance.jobs()) {
+    in.release.push_back(job.release);
+    in.deadline.push_back(job.deadline);
+    in.processing.push_back(job.processing);
+  }
+  in.points = instance.event_points();
+  return body(in, [](const Rat& v) { return v; });
 }
 
 // ---- oracle network ----------------------------------------------------
@@ -1788,28 +1903,23 @@ std::optional<FlowAllocation> solve_migratory(const Instance& instance,
   if (instance.empty())
     return FlowAllocation{instance.event_points(), {}};
   if (machines <= 0 || !instance.well_formed()) return std::nullopt;
-  obs::ProfileSpan span("solve_allocation");
-  Network net = build_network(instance, machines);
-  bool routed = net.graph.max_flow(net.source, net.sink) == net.total_work;
-  {
-    const DinicStats& stats = net.graph.stats();
-    obs::Registry& registry = obs::Registry::global();
-    registry.counter("flow.bfs_passes").add(stats.bfs_passes);
-    registry.counter("flow.augmenting_paths").add(stats.augmenting_paths);
-    registry.counter("flow.edge_visits").add(stats.edge_visits);
-  }
-  if (!routed) return std::nullopt;
-
-  FlowAllocation out;
-  out.segment_starts = net.points;
-  out.per_job.assign(instance.size(),
-                     std::vector<Rat>(net.points.size() - 1, Rat(0)));
-  for (std::size_t j = 0; j < instance.size(); ++j) {
-    for (const auto& [segment, handle] : net.job_segment_edges[j]) {
-      out.per_job[j][segment] = net.graph.flow_on(handle);
-    }
-  }
-  return out;
+  return in_value_domain(
+      instance,
+      [&](const auto& in, const auto& to_rat) -> std::optional<FlowAllocation> {
+        const auto net = solve_allocation(in, machines);
+        if (!net) return std::nullopt;
+        FlowAllocation out;
+        out.segment_starts.reserve(in.points.size());
+        for (const auto& point : in.points)
+          out.segment_starts.push_back(to_rat(point));
+        out.per_job.assign(instance.size(),
+                           std::vector<Rat>(in.points.size() - 1, Rat(0)));
+        for (std::size_t k = 0; k < net->segment_edges.size(); ++k) {
+          for (const auto& [job, handle] : net->segment_edges[k])
+            out.per_job[job][k] = to_rat(net->graph.flow_on(handle));
+        }
+        return out;
+      });
 }
 
 std::int64_t optimal_migratory_machines(const Instance& instance) {
@@ -1823,46 +1933,16 @@ std::int64_t optimal_migratory_machines(const Instance& instance) {
 
 Schedule optimal_migratory_schedule(const Instance& instance,
                                     std::int64_t machines) {
-  auto allocation = solve_migratory(instance, machines);
-  if (!allocation)
-    throw std::invalid_argument(
-        "optimal_migratory_schedule: instance infeasible on given machines");
-  Schedule schedule(static_cast<std::size_t>(machines));
-  if (instance.empty()) return schedule;
-
-  const std::size_t segments = allocation->segment_starts.size() - 1;
-  for (std::size_t k = 0; k < segments; ++k) {
-    // McNaughton wrap-around rule inside segment k: lay the jobs' pieces
-    // end-to-end across machines; a piece split at a machine boundary
-    // cannot overlap itself because each piece is at most the segment
-    // length.
-    const Rat seg_start = allocation->segment_starts[k];
-    const Rat seg_end = allocation->segment_starts[k + 1];
-    std::size_t machine = 0;
-    Rat cursor = seg_start;
-    for (std::size_t j = 0; j < instance.size(); ++j) {
-      Rat remaining = allocation->per_job[j][k];
-      if (!remaining.is_positive()) continue;
-      while (remaining.is_positive()) {
-        Rat available = seg_end - cursor;
-        if (!available.is_positive()) {
-          ++machine;
-          cursor = seg_start;
-          available = seg_end - seg_start;
-        }
-        Rat chunk = Rat::min(remaining, available);
-        if (machine >= static_cast<std::size_t>(machines))
-          throw std::logic_error(
-              "optimal_migratory_schedule: McNaughton overflow");
-        schedule.add_slot(machine, cursor, cursor + chunk,
-                          static_cast<JobId>(j));
-        cursor += chunk;
-        remaining -= chunk;
-      }
-    }
-  }
-  schedule.canonicalize();
-  return schedule;
+  const char* const infeasible =
+      "optimal_migratory_schedule: instance infeasible on given machines";
+  if (instance.empty()) return Schedule(static_cast<std::size_t>(machines));
+  if (machines <= 0 || !instance.well_formed())
+    throw std::invalid_argument(infeasible);
+  return in_value_domain(instance, [&](const auto& in, const auto& to_rat) {
+    const auto net = solve_allocation(in, machines);
+    if (!net) throw std::invalid_argument(infeasible);
+    return wrap_around(in.points, *net, machines, to_rat);
+  });
 }
 
 }  // namespace minmach

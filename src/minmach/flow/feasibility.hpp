@@ -135,7 +135,10 @@ class FeasibilityOracle {
 [[nodiscard]] bool feasible_migratory(const Instance& instance,
                                       std::int64_t machines);
 
-// As above, and on success returns the per-segment allocation.
+// As above, and on success returns the per-segment allocation, read off a
+// dense per-segment network. The network runs on the instance's integer
+// grid (core/grid.hpp) when it has one and on exact rationals otherwise;
+// both give the same allocation.
 [[nodiscard]] std::optional<FlowAllocation> solve_migratory(
     const Instance& instance, std::int64_t machines);
 
@@ -144,7 +147,8 @@ class FeasibilityOracle {
 [[nodiscard]] std::int64_t optimal_migratory_machines(const Instance& instance);
 
 // Builds a concrete feasible migratory schedule on `machines` machines
-// (McNaughton wrap-around within each segment). Throws std::invalid_argument
+// (solve_migratory's allocation, then McNaughton wrap-around within each
+// segment, both in the same value domain). Throws std::invalid_argument
 // if infeasible. Pass optimal_migratory_machines(..) for an OPT schedule.
 [[nodiscard]] Schedule optimal_migratory_schedule(const Instance& instance,
                                                   std::int64_t machines);

@@ -1,7 +1,6 @@
 #include "minmach/util/cli.hpp"
 
 #include <charconv>
-#include <stdexcept>
 #include <system_error>
 
 namespace minmach {
@@ -16,11 +15,11 @@ T parse_number(const std::string& key, const std::string& text,
   const char* last = text.data() + text.size();
   const auto [end, error] = std::from_chars(text.data(), last, out);
   if (error == std::errc::result_out_of_range)
-    throw std::invalid_argument("Cli: --" + key + " is out of range (got '" +
-                                text + "')");
+    throw CliError("Cli: --" + key + " is out of range (got '" + text +
+                   "')");
   if (error != std::errc() || end != last)
-    throw std::invalid_argument("Cli: --" + key + " expects " + expected +
-                                " (got '" + text + "')");
+    throw CliError("Cli: --" + key + " expects " + expected + " (got '" +
+                   text + "')");
   return out;
 }
 
@@ -29,8 +28,15 @@ T parse_number(const std::string& key, const std::string& text,
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0)
-      throw std::invalid_argument("Cli: expected --key=value, got " + arg);
+    if (arg.rfind("--", 0) != 0) {
+      // Most often a value given after a space: name the flag it belongs to.
+      const std::string previous = i > 1 ? argv[i - 1] : "";
+      if (previous.rfind("--", 0) == 0 &&
+          previous.find('=') == std::string::npos)
+        throw CliError("Cli: expected --key=value, got " + arg + " after " +
+                       previous + " (write " + previous + "=" + arg + ")");
+      throw CliError("Cli: expected --key=value, got " + arg);
+    }
     auto eq = arg.find('=');
     std::string key =
         eq == std::string::npos ? arg.substr(2) : arg.substr(2, eq - 2);
@@ -46,8 +52,7 @@ const std::string* Cli::value_of(const std::string& key) {
   if (it == values_.end()) return nullptr;
   seen_[key] = true;
   if (!it->second)
-    throw std::invalid_argument("Cli: --" + key + " needs a value (--" + key +
-                                "=...)");
+    throw CliError("Cli: --" + key + " needs a value (--" + key + "=...)");
   return &*it->second;
 }
 
@@ -85,7 +90,7 @@ bool Cli::was_given(const std::string& key) const {
 void Cli::check_unknown() const {
   for (const auto& [key, used] : seen_) {
     if (!used)
-      throw std::invalid_argument("Cli: unknown flag --" + key);
+      throw CliError("Cli: unknown flag --" + key);
   }
 }
 

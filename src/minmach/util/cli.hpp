@@ -2,15 +2,23 @@
 // throw, so typos in experiment sweeps fail loudly rather than silently
 // running the default configuration. So do malformed values: numbers must
 // span the whole token, and only a boolean switch may be given bare
-// (--key); every refusal is a std::invalid_argument naming the flag.
+// (--key); every refusal is a CliError naming the flag.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 namespace minmach {
+
+// A malformed command line. Its own type so a driver can turn exactly
+// these into a usage error (exit 2) while library exceptions still abort.
+class CliError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class Cli {
  public:

@@ -1,0 +1,34 @@
+# Malformed driver flags are usage errors: each command below must exit 2
+# (not abort) and name the offending flag on stderr. Covers a number that
+# does not span its token, an unknown flag, and a value given after a
+# space instead of after '='.
+#
+# Invoked by ctest with -DE02=<path> -DF01=<path>.
+foreach(var E02 F01)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "${var} not set")
+  endif()
+endforeach()
+
+# check(<flag named on stderr> <driver> <args...>)
+function(check flag driver)
+  execute_process(
+    COMMAND ${driver} ${ARGN}
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc
+    TIMEOUT 60)
+  if(NOT rc STREQUAL "2")
+    message(FATAL_ERROR "${driver} ${ARGN} must exit 2, got '${rc}':\n${err}")
+  endif()
+  if(NOT err MATCHES "^error: .*${flag}")
+    message(FATAL_ERROR
+      "${driver} ${ARGN}: stderr does not name ${flag}:\n${err}")
+  endif()
+endfunction()
+
+check(--trials ${E02} --trials=2x)
+check(--bogus ${E02} --bogus=1)
+check(--levels ${F01} --levels 3)
+
+message(STATUS "malformed flags exit 2 with the flag named")

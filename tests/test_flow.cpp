@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <ostream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "minmach/core/contribution.hpp"
+#include "minmach/core/grid.hpp"
 #include "minmach/core/transforms.hpp"
 #include "minmach/core/validate.hpp"
 #include "minmach/flow/dinic.hpp"
 #include "minmach/gen/generators.hpp"
 #include "minmach/util/rng.hpp"
+#include "reference_horn.hpp"
 
 namespace minmach {
 namespace {
@@ -160,6 +169,218 @@ TEST(Feasibility, FastPathMatchesRationalFallback) {
               optimal_migratory_machines(slow));
   }
 }
+
+// ---- migratory schedules: grid and Rat instantiations vs a Rat reference
+//
+// The allocation network and wrap-around layout as they ran on exact
+// rationals alone: the dense per-segment Horn network on Dinic<Rat>, then
+// McNaughton's rule inside each segment. The library runs one template of
+// the same layout on __int128 grid values, or on Rat off the grid; either
+// must reproduce this allocation and this schedule exactly.
+
+std::optional<FlowAllocation> reference_allocation(const Instance& instance,
+                                                   std::int64_t machines) {
+  const std::vector<Rat> points = instance.event_points();
+  if (instance.empty()) return FlowAllocation{points, {}};
+  if (machines <= 0 || !instance.well_formed()) return std::nullopt;
+  const std::size_t n = instance.size();
+  const std::size_t segments = points.size() - 1;
+  // Node layout: 0 = source, 1..n = jobs, n+1..n+segments = segments, last
+  // = sink.
+  const std::size_t sink = n + segments + 1;
+  Dinic<Rat> graph(n + segments + 2);
+  for (std::size_t k = 0; k < segments; ++k)
+    graph.add_edge(n + 1 + k, sink,
+                   Rat(machines) * (points[k + 1] - points[k]));
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> edges(n);
+  Rat total(0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const Job& job = instance.job(j);
+    total += job.processing;
+    graph.add_edge(0, 1 + j, job.processing);
+    for (std::size_t k = 0; k < segments; ++k) {
+      if (job.release <= points[k] && points[k + 1] <= job.deadline)
+        edges[j].emplace_back(
+            k, graph.add_edge(1 + j, n + 1 + k, points[k + 1] - points[k]));
+    }
+  }
+  if (graph.max_flow(0, sink) != total) return std::nullopt;
+  FlowAllocation out{points, std::vector<std::vector<Rat>>(
+                                 n, std::vector<Rat>(segments, Rat(0)))};
+  for (std::size_t j = 0; j < n; ++j)
+    for (const auto& [k, handle] : edges[j])
+      out.per_job[j][k] = graph.flow_on(handle);
+  return out;
+}
+
+Schedule reference_schedule(const Instance& instance, std::int64_t machines) {
+  const auto allocation = reference_allocation(instance, machines);
+  if (!allocation)
+    throw std::invalid_argument("reference_schedule: infeasible");
+  Schedule schedule(static_cast<std::size_t>(machines));
+  if (instance.empty()) return schedule;
+  const std::vector<Rat>& points = allocation->segment_starts;
+  for (std::size_t k = 0; k + 1 < points.size(); ++k) {
+    std::size_t machine = 0;
+    Rat cursor = points[k];
+    for (std::size_t j = 0; j < instance.size(); ++j) {
+      Rat remaining = allocation->per_job[j][k];
+      while (remaining.is_positive()) {
+        Rat available = points[k + 1] - cursor;
+        if (!available.is_positive()) {
+          ++machine;
+          cursor = points[k];
+          available = points[k + 1] - points[k];
+        }
+        const Rat chunk = Rat::min(remaining, available);
+        schedule.add_slot(machine, cursor, cursor + chunk,
+                          static_cast<JobId>(j));
+        cursor += chunk;
+        remaining -= chunk;
+      }
+    }
+  }
+  schedule.canonicalize();
+  return schedule;
+}
+
+void expect_allocations_equal(const std::optional<FlowAllocation>& got,
+                              const std::optional<FlowAllocation>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!got) return;
+  EXPECT_EQ(got->segment_starts, want->segment_starts);
+  EXPECT_EQ(got->per_job, want->per_job);
+}
+
+// Checks the instance at m = OPT and OPT + 1 against the reference, and
+// that m = OPT - 1 is refused; returns OPT.
+std::int64_t expect_schedules_match_reference(const Instance& in) {
+  const std::int64_t opt = optimal_migratory_machines(in);
+  for (const std::int64_t m : {opt, opt + 1}) {
+    SCOPED_TRACE("m = " + std::to_string(m));
+    const Schedule schedule = optimal_migratory_schedule(in, m);
+    EXPECT_EQ(schedule.to_string(), reference_schedule(in, m).to_string());
+    const ValidationResult audit = validate(in, schedule);
+    EXPECT_TRUE(audit.ok) << audit.summary();
+    EXPECT_LE(schedule.used_machine_count(), static_cast<std::size_t>(m));
+    expect_allocations_equal(solve_migratory(in, m),
+                             reference_allocation(in, m));
+  }
+  EXPECT_THROW((void)optimal_migratory_schedule(in, opt - 1),
+               std::invalid_argument);
+  EXPECT_FALSE(solve_migratory(in, opt - 1).has_value());
+  return opt;
+}
+
+struct Family {
+  const char* name;
+  Instance (*generate)(Rng&, const GenConfig&);
+};
+
+// Keeps the discovered test names free of pointer bytes.
+void PrintTo(const Family& family, std::ostream* os) { *os << family.name; }
+
+// Every gen/ family; the alpha-parameterized ones at alpha = 1/2.
+const Family kFamilies[] = {
+    {"general", gen_general},
+    {"agreeable", gen_agreeable},
+    {"laminar", gen_laminar},
+    {"loose",
+     [](Rng& rng, const GenConfig& c) { return gen_loose(rng, c, Rat(1, 2)); }},
+    {"tight",
+     [](Rng& rng, const GenConfig& c) { return gen_tight(rng, c, Rat(1, 2)); }},
+    {"agreeable_tight",
+     [](Rng& rng, const GenConfig& c) {
+       return gen_agreeable_tight(rng, c, Rat(1, 2));
+     }},
+    {"laminar_tight",
+     [](Rng& rng, const GenConfig& c) {
+       return gen_laminar_tight(rng, c, Rat(1, 2));
+     }},
+    {"unit", gen_unit},
+};
+
+class MigratoryScheduleGrid : public ::testing::TestWithParam<Family> {};
+
+TEST_P(MigratoryScheduleGrid, MatchesRatReference) {
+  const Family& family = GetParam();
+  std::size_t multi_machine = 0;
+  for (const std::int64_t den : {1, 2, 3, 4, 7, 12}) {
+    Rng rng(static_cast<std::uint64_t>(den) * 1009 + 3);
+    for (const std::size_t n : {10, 25, 40}) {
+      SCOPED_TRACE(std::string(family.name) + " 1/" + std::to_string(den) +
+                   " n = " + std::to_string(n));
+      // Windows crowded enough that OPT is often 2 or more, so the
+      // wrap-around spills onto further machines.
+      GenConfig config;
+      config.n = n;
+      config.horizon = static_cast<std::int64_t>(n) / 2;
+      config.max_window = 8;
+      config.denominator = den;
+      const Instance in = family.generate(rng, config);
+      ASSERT_TRUE(try_integer_grid(in).usable);
+      if (expect_schedules_match_reference(in) >= 2) ++multi_machine;
+    }
+  }
+  EXPECT_GT(multi_machine, 0u);  // m = OPT - 1 reached the network
+}
+
+// Two integer instances of the family, one scaled by 1/(2^21 - 1) and one
+// by 1/(2^21 + 1), as one: the lcm of the denominators exceeds the grid's
+// 40-bit guard, so the Rat instantiation runs.
+Instance off_grid(const Family& family, Rng& rng, std::size_t n) {
+  std::vector<Job> jobs;
+  for (const std::int64_t den :
+       {(std::int64_t{1} << 21) - 1, (std::int64_t{1} << 21) + 1}) {
+    GenConfig config;
+    config.n = n / 2;
+    config.horizon = static_cast<std::int64_t>(n) / 2;
+    config.max_window = 8;
+    config.denominator = 1;
+    const Instance part =
+        affine(family.generate(rng, config), Rat(0), Rat(1, den));
+    jobs.insert(jobs.end(), part.jobs().begin(), part.jobs().end());
+  }
+  return Instance(std::move(jobs));
+}
+
+TEST_P(MigratoryScheduleGrid, OffGridMatchesRatReference) {
+  const Family& family = GetParam();
+  Rng rng(41);
+  std::size_t multi_machine = 0;
+  for (const std::size_t n : {8, 16, 24}) {
+    SCOPED_TRACE(std::string(family.name) + " n = " + std::to_string(n));
+    const Instance in = off_grid(family, rng, n);
+    ASSERT_FALSE(try_integer_grid(in).usable);
+    if (expect_schedules_match_reference(in) >= 2) ++multi_machine;
+  }
+  EXPECT_GT(multi_machine, 0u);
+}
+
+TEST_P(MigratoryScheduleGrid, SmallInstancesMatchHornOpt) {
+  const Family& family = GetParam();
+  Rng rng(43);
+  for (const std::int64_t den : {1, 2, 3, 4, 7, 12}) {
+    SCOPED_TRACE(std::string(family.name) + " 1/" + std::to_string(den));
+    GenConfig config;
+    config.n = 6;
+    config.horizon = 12;
+    config.max_window = 8;
+    config.denominator = den;
+    const Instance in = family.generate(rng, config);
+    EXPECT_EQ(expect_schedules_match_reference(in),
+              reference::horn_optimal_machines(in));
+  }
+  const Instance in = off_grid(family, rng, 6);
+  EXPECT_EQ(expect_schedules_match_reference(in),
+            reference::horn_optimal_machines(in));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, MigratoryScheduleGrid, ::testing::ValuesIn(kFamilies),
+    [](const ::testing::TestParamInfo<Family>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace minmach

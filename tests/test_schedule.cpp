@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "minmach/util/rng.hpp"
+
 namespace minmach {
 namespace {
 
@@ -86,6 +93,75 @@ TEST(Schedule, RemapAndAppend) {
   EXPECT_EQ(a.machine_count(), 3u);
   EXPECT_EQ(a.slots(1)[0].job, 5u);
   EXPECT_THROW(b.remap_jobs({1}), std::out_of_range);
+}
+
+// ---- canonicalize() is independent of arrival order ----
+//
+// canonicalize() skips its sort on machines whose slots already arrive in
+// start order. Whatever the order, the result must be the same merged
+// slots, or the same overlap error.
+
+// Machine 0 gets `slots` in the given order, machine 1 the same slots in
+// reverse. The canonical text, or std::nullopt if canonicalize() threw.
+std::optional<std::string> canonical(const std::vector<Slot>& slots) {
+  Schedule s;
+  for (const Slot& slot : slots) s.add_slot(0, slot.start, slot.end, slot.job);
+  for (auto it = slots.rbegin(); it != slots.rend(); ++it)
+    s.add_slot(1, it->start, it->end, it->job);
+  try {
+    s.canonicalize();
+  } catch (const std::logic_error&) {
+    return std::nullopt;
+  }
+  return s.to_string();
+}
+
+// A few slots of three jobs in start order; neighbours touch or leave a
+// gap of 1/2, so same-job neighbours exercise the merge.
+std::vector<Slot> sorted_slots(Rng& rng) {
+  std::vector<Slot> slots;
+  Rat t = rng.uniform_rat(0, 2, 2);
+  const std::int64_t count = rng.uniform_int(1, 9);
+  for (std::int64_t i = 0; i < count; ++i) {
+    const Rat end = t + rng.uniform_rat(1, 2, 2);
+    slots.push_back({t, end, static_cast<JobId>(rng.uniform_int(0, 2))});
+    t = end + Rat(rng.uniform_int(0, 1), 2);
+  }
+  return slots;
+}
+
+TEST(Schedule, CanonicalizeSortedOrShuffledAgree) {
+  Rng rng(11);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Slot> slots = sorted_slots(rng);
+    const std::optional<std::string> expected = canonical(slots);
+    ASSERT_TRUE(expected.has_value());
+    for (int round = 0; round < 4; ++round) {
+      rng.shuffle(slots);
+      EXPECT_EQ(canonical(slots), expected);
+    }
+  }
+}
+
+TEST(Schedule, CanonicalizeOverlapThrowsInAnyOrder) {
+  Rng rng(12);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Slot> slots = sorted_slots(rng);
+    if (slots.size() < 2) continue;
+    // Start one slot at, or strictly inside, its predecessor. The list
+    // stays in start order (ties included), so the sort is skipped.
+    const std::size_t i = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(slots.size()) - 1));
+    const Slot& before = slots[i - 1];
+    slots[i].start = rng.bernoulli(0.5)
+                         ? before.start
+                         : (before.start + before.end) / Rat(2);
+    EXPECT_EQ(canonical(slots), std::nullopt);
+    for (int round = 0; round < 4; ++round) {
+      rng.shuffle(slots);
+      EXPECT_EQ(canonical(slots), std::nullopt);
+    }
+  }
 }
 
 }  // namespace

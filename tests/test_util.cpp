@@ -89,6 +89,9 @@ TEST(Cli, OnlyBoolAcceptsABareFlag) {
   expect_refused([&] { (void)cli.get_int("trials", 1); }, "--trials");
   expect_refused([&] { (void)cli.get_double("ratio", 1.0); }, "--ratio");
   EXPECT_TRUE(cli.get_bool("verbose", false));
+  // A value after a space names the flag it was meant for.
+  expect_refused([] { (void)make_cli({"--levels", "3"}); }, "--levels");
+  EXPECT_THROW((void)make_cli({"--levels", "3"}), CliError);
 }
 
 TEST(Cli, EmptyValueIsNotABareFlag) {
