@@ -58,8 +58,8 @@ void LlfPolicy::dispatch(Simulator& sim) {
 }
 
 std::optional<Rat> LlfPolicy::next_wakeup(const Simulator& sim) {
-  // Earliest crossing of a waiting job's (falling) laxity with a running
-  // job's (constant) laxity.
+  // Earliest crossing of a waiting job's laxity, falling at rate 1, with a
+  // running job's, rising at rate speed - 1: the gap closes at rate speed.
   bool any_waiting = false;
   std::optional<Rat> min_waiting;
   std::optional<Rat> max_running;
@@ -78,7 +78,7 @@ std::optional<Rat> LlfPolicy::next_wakeup(const Simulator& sim) {
   std::optional<Rat> wakeup;
   if (min_waiting && max_running) {
     Rat delta = *min_waiting - *max_running;
-    if (delta.is_positive()) wakeup = sim.now() + delta;
+    if (delta.is_positive()) wakeup = sim.now() + delta / sim.speed();
   }
   if (quantum_.is_positive() && any_waiting) {
     Rat periodic = sim.now() + quantum_;

@@ -1,13 +1,14 @@
 // Least Laxity First on a budget of m' machines (migratory).
 //
 // Runs the m' active jobs with the smallest current laxity
-// l_j(t) = d_j - t - p_j(t). Between events a running job's laxity is
-// constant while a waiting job's laxity falls at rate 1, so the policy asks
-// the simulator for a wake-up at the earliest waiting/running laxity
-// crossing. Ties at a crossing are resolved in favor of the waiting job; an
-// optional quantum bounds how stale the comparison may get (true LLF
-// degenerates to processor sharing at ties, which no discrete schedule can
-// realize -- Phillips et al. analyze exactly this event-driven variant).
+// l_j(t) = d_j - t - p_j(t). Between events a waiting job's laxity falls at
+// rate 1 while a running job's rises at rate s - 1 on speed-s machines
+// (constant at unit speed), so the policy asks the simulator for a wake-up
+// at the earliest waiting/running laxity crossing. Ties at a crossing are
+// resolved in favor of the waiting job; an optional quantum bounds how
+// stale the comparison may get (true LLF degenerates to processor sharing
+// at ties, which no discrete schedule can realize -- Phillips et al.
+// analyze exactly this event-driven variant).
 #pragma once
 
 #include <cstddef>

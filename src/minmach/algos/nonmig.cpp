@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace minmach {
 
@@ -26,10 +27,12 @@ void NonMigratoryPolicy::dispatch(Simulator& sim) {
     // Earliest deadline among this machine's active jobs.
     JobId best = kInvalidJob;
     for (JobId id : assigned_[m]) {
-      if (best == kInvalidJob ||
-          sim.job(id).deadline < sim.job(best).deadline ||
-          (sim.job(id).deadline == sim.job(best).deadline && id < best))
+      if (best == kInvalidJob) {
         best = id;
+        continue;
+      }
+      const auto order = sim.deadline_ticks(id) <=> sim.deadline_ticks(best);
+      if (order < 0 || (order == 0 && id < best)) best = id;
     }
     sim.set_running(m, best);
   }
@@ -43,34 +46,32 @@ std::optional<std::size_t> NonMigratoryPolicy::machine_of(JobId job) const {
 bool NonMigratoryPolicy::machine_can_take(const Simulator& sim,
                                           std::size_t machine,
                                           JobId job) const {
-  // Jackson's rule. Admission runs only inside on_release, at now = the
-  // job's release. Every other job committed here was released earlier,
-  // and step 1 of Simulator::deliver_events_at_now has already finished
-  // the running jobs with no work left. So every commitment is available
-  // at now, and preemptive EDF meets all deadlines iff, in deadline order,
-  // now + prefix_work / speed <= deadline for every prefix. Ties in
-  // deadline do not change the verdict: the last job of a tie group
-  // carries the group's largest prefix.
+  // Jackson's rule on the simulator's grid. Admission runs only inside
+  // on_release, at now = the job's release. Every other job committed here
+  // was released earlier, and step 1 of Simulator::deliver_events_at_now
+  // has already finished the running jobs with no work left. So every
+  // commitment is available at now, and preemptive EDF meets all deadlines
+  // iff, in deadline order, now + prefix wall time <= deadline for every
+  // prefix. Remaining ticks are wall time at the machine speed, so the
+  // test is integer adds and compares at any speed. Ties in deadline do
+  // not change the verdict: the last job of a tie group carries the
+  // group's largest prefix.
   commit_scratch_.clear();
   if (machine < assigned_.size()) {
     for (JobId id : assigned_[machine])
       if (!sim.finished(id) && !sim.missed(id) &&
-          sim.remaining(id).is_positive())
+          !sim.remaining_ticks(id).is_zero())
         commit_scratch_.push_back(id);
   }
-  if (sim.remaining(job).is_positive()) commit_scratch_.push_back(job);
+  if (!sim.remaining_ticks(job).is_zero()) commit_scratch_.push_back(job);
   std::sort(commit_scratch_.begin(), commit_scratch_.end(),
             [&](JobId a, JobId b) {
-              return sim.job(a).deadline < sim.job(b).deadline;
+              return sim.deadline_ticks(a) < sim.deadline_ticks(b);
             });
-  const bool unit_speed = sim.speed() == Rat(1);
-  Rat finish = sim.now();
+  finish_scratch_ = sim.now_ticks();
   for (JobId id : commit_scratch_) {
-    if (unit_speed)
-      finish += sim.remaining(id);
-    else
-      finish += sim.remaining(id) / sim.speed();
-    if (finish > sim.job(id).deadline) return false;
+    finish_scratch_ += sim.remaining_ticks(id);
+    if (finish_scratch_ > sim.deadline_ticks(id)) return false;
   }
   return true;
 }
@@ -84,12 +85,13 @@ const std::vector<std::size_t>& NonMigratoryPolicy::feasible_machines_pooled(
   return feasible_scratch_;
 }
 
-Rat NonMigratoryPolicy::machine_load(const Simulator& sim,
-                                     std::size_t machine) const {
-  Rat load(0);
+BigInt NonMigratoryPolicy::machine_load(const Simulator& sim,
+                                        std::size_t machine) const {
+  BigInt load = 0;
   if (machine < assigned_.size()) {
     for (JobId id : assigned_[machine]) {
-      if (!sim.finished(id) && !sim.missed(id)) load += sim.remaining(id);
+      if (!sim.finished(id) && !sim.missed(id))
+        load += sim.remaining_ticks(id);
     }
   }
   return load;
@@ -121,16 +123,19 @@ std::size_t FitPolicy::choose_machine(Simulator& sim, JobId job) {
   switch (rule_) {
     case FitRule::kFirstFit:
       return feasible.front();
-    case FitRule::kBestFit: {
-      std::size_t best = feasible.front();
-      for (std::size_t m : feasible)
-        if (machine_load(sim, m) > machine_load(sim, best)) best = m;
-      return best;
-    }
+    case FitRule::kBestFit:
     case FitRule::kWorstFit: {
+      // One load per feasible machine; on a tie the lowest index wins.
+      const bool largest = rule_ == FitRule::kBestFit;
       std::size_t best = feasible.front();
-      for (std::size_t m : feasible)
-        if (machine_load(sim, m) < machine_load(sim, best)) best = m;
+      BigInt best_load = machine_load(sim, best);
+      for (std::size_t i = 1; i < feasible.size(); ++i) {
+        BigInt load = machine_load(sim, feasible[i]);
+        if (largest ? load > best_load : load < best_load) {
+          best = feasible[i];
+          best_load = std::move(load);
+        }
+      }
       return best;
     }
     case FitRule::kRandomFit: {

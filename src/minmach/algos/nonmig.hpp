@@ -7,7 +7,10 @@
 // Per machine the dispatcher runs preemptive EDF over the assigned active
 // jobs, which is optimal for a fixed assignment. The admission test is
 // Jackson's rule on the machine's commitments (every one of them is
-// available at the release), so it decides EDF feasibility exactly.
+// available at the release), so it decides EDF feasibility exactly. The
+// dispatcher, the admission test and the machine loads read the
+// simulator's grid view (ticks of now, deadlines and remaining wall time),
+// so they add and compare integers at any machine speed.
 //
 // Subclasses only choose the machine. The provided fit rules are the
 // opponent suite for the strong lower bound (experiment E1): a lower bound
@@ -49,9 +52,10 @@ class NonMigratoryPolicy : public OnlinePolicy {
   [[nodiscard]] bool machine_can_take(const Simulator& sim,
                                       std::size_t machine, JobId job) const;
 
-  // Total remaining committed work on a machine.
-  [[nodiscard]] Rat machine_load(const Simulator& sim,
-                                 std::size_t machine) const;
+  // Total remaining committed wall time on a machine, in the simulator's
+  // ticks (valid until the grid next refines).
+  [[nodiscard]] BigInt machine_load(const Simulator& sim,
+                                    std::size_t machine) const;
 
   [[nodiscard]] const std::vector<JobId>& jobs_on(std::size_t machine) const {
     return assigned_[machine];
@@ -64,6 +68,7 @@ class NonMigratoryPolicy : public OnlinePolicy {
   // machine), reused across the per-release probe of every open machine
   // (mutable: the probes are logically const queries).
   mutable std::vector<JobId> commit_scratch_;
+  mutable BigInt finish_scratch_;  // the running prefix finish, in ticks
   mutable std::vector<std::size_t> feasible_scratch_;
 };
 

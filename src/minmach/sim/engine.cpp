@@ -25,52 +25,112 @@ void Simulator::reset(OnlinePolicy& policy, Rat speed) {
     throw std::invalid_argument("Simulator: speed must be positive");
   policy_ = &policy;
   speed_ = std::move(speed);
-  now_ = Rat(0);
+  grid_ = 1;
+  now_ = 0;
+  until_ = 0;
+  now_view_fresh_ = false;
   instance_.clear();
+  release_.clear();
   deadline_.clear();
   remaining_.clear();
   state_.clear();
   last_machine_.clear();
   missed_list_.clear();
+  unfinished_.clear();
   pending_.clear();
   deadline_heap_.clear();
   due_scratch_.clear();
   open_jobs_ = 0;
-  max_deadline_ = Rat(0);
+  max_deadline_ = 0;
   running_.clear();
+  trace_points_.clear();
   trace_.clear();
-  machine_touched_.clear();
+  trace_grids_.clear();
+  grid_traced_ = false;
+  now_traced_ = false;
+  last_slot_.clear();
   machines_used_ = 0;
   stats_ = SimStats{};
   prev_slice_jobs_.clear();
 }
 
-void Simulator::heap_push(std::vector<EventNode>& heap, Rat time, JobId job) {
-  heap.push_back({std::move(time), job});
-  std::push_heap(heap.begin(), heap.end(), EventAfter{});
+const Rat& Simulator::now() const {
+  if (!now_view_fresh_) {
+    now_view_ = Rat(now_, grid_);
+    now_view_fresh_ = true;
+  }
+  return now_view_;
 }
 
-void Simulator::heap_pop(std::vector<EventNode>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), EventAfter{});
-  heap.pop_back();
+Rat Simulator::remaining(JobId id) const {
+  return Rat(remaining_[id], grid_) * speed_;
+}
+
+void Simulator::put_on_grid(const BigInt& den) {
+  if (den.is_small() && den.small_value() == 1) return;
+  BigIntDivMod split = BigInt::div_mod(grid_, den);
+  if (split.remainder.is_zero()) return;
+  // lcm(D, den) = D * f with f = den / gcd(D, den), and
+  // gcd(D, den) = gcd(den, D mod den).
+  const BigInt factor = den / BigInt::gcd(den, split.remainder);
+  grid_ *= factor;
+  now_ *= factor;
+  until_ *= factor;
+  max_deadline_ *= factor;
+  std::erase_if(unfinished_,
+                [&](JobId id) { return state_[id] == JobState::kFinished; });
+  for (JobId id : unfinished_) {
+    if (state_[id] == JobState::kPending) release_[id] *= factor;
+    deadline_[id] *= factor;
+    remaining_[id] *= factor;
+  }
+  // Uniform scaling keeps pending_ a heap (every entry is rescaled), but
+  // the deadline heap's stale entries kept their old ticks: drop them and
+  // rebuild.
+  if (std::erase_if(deadline_heap_, [&](JobId id) {
+        return state_[id] != JobState::kActive;
+      }) != 0)
+    std::make_heap(deadline_heap_.begin(), deadline_heap_.end(),
+                   LaterTick{&deadline_});
+  grid_traced_ = false;
+}
+
+BigInt Simulator::ticks_of(const Rat& value) const {
+  if (value.den().is_small() && value.den().small_value() == 1)
+    return value.num() * grid_;
+  return value.num() * (grid_ / value.den());
 }
 
 JobId Simulator::submit(const Job& job) {
+  obs::ProfileSpan span("sim_submit");
   // Well-formedness relative to the machine speed: the job must fit its
   // window when processed continuously at rate `speed_`.
-  if (!job.processing.is_positive() ||
-      job.processing / speed_ > job.window_length())
+  if (!job.processing.is_positive())
     throw std::invalid_argument("Simulator: malformed job");
-  if (job.release < now_)
+  const Rat wall = job.processing / speed_;
+  // Every value goes on the grid before any is converted: a refinement
+  // rescales only the ticks already stored.
+  put_on_grid(job.release.den());
+  put_on_grid(job.deadline.den());
+  put_on_grid(wall.den());
+  BigInt release = ticks_of(job.release);
+  BigInt deadline = ticks_of(job.deadline);
+  BigInt remaining = ticks_of(wall);
+  if (remaining > deadline - release)
+    throw std::invalid_argument("Simulator: malformed job");
+  if (release < now_)
     throw std::invalid_argument("Simulator: release date in the past");
   JobId id = instance_.add_job(job);
-  deadline_.push_back(job.deadline);
-  remaining_.push_back(job.processing);
+  if (deadline > max_deadline_) max_deadline_ = deadline;
+  release_.push_back(std::move(release));
+  deadline_.push_back(std::move(deadline));
+  remaining_.push_back(std::move(remaining));
   state_.push_back(JobState::kPending);
   last_machine_.push_back(kNeverRan);
-  heap_push(pending_, job.release, id);
+  unfinished_.push_back(id);
+  pending_.push_back(id);
+  std::push_heap(pending_.begin(), pending_.end(), LaterTick{&release_});
   ++open_jobs_;
-  max_deadline_ = Rat::max(max_deadline_, job.deadline);
   return id;
 }
 
@@ -92,16 +152,18 @@ bool Simulator::all_done() const {
 
 void Simulator::prune_deadline_heap() {
   while (!deadline_heap_.empty()) {
-    JobId id = deadline_heap_.front().job;
+    JobId id = deadline_heap_.front();
     if (state_[id] == JobState::kActive) break;
-    heap_pop(deadline_heap_);
+    std::pop_heap(deadline_heap_.begin(), deadline_heap_.end(),
+                  LaterTick{&deadline_});
+    deadline_heap_.pop_back();
   }
 }
 
 void Simulator::set_running(std::size_t machine, JobId job) {
   if (machine >= running_.size()) {
     running_.resize(machine + 1, kInvalidJob);
-    machine_touched_.resize(machine + 1, false);
+    last_slot_.resize(machine + 1, kNoSlot);
   }
   if (job != kInvalidJob) {
     if (job >= state_.size() || state_[job] != JobState::kActive)
@@ -132,7 +194,7 @@ void Simulator::deliver_events_at_now() {
       ++stats_.completions;
       if (tracing)
         obs::trace_event("sim", "complete",
-                         {{"t", now_}, {"job", job}, {"machine", m}});
+                         {{"t", now()}, {"job", job}, {"machine", m}});
       policy_->on_complete(*this, job);
     }
   }
@@ -140,11 +202,14 @@ void Simulator::deliver_events_at_now() {
   // deadline heap and handled in job-id order (the order the old full scan
   // used), so traces and policy callbacks are unchanged.
   prune_deadline_heap();
-  if (!deadline_heap_.empty() && deadline_heap_.front().time <= now_) {
+  const LaterTick by_deadline{&deadline_};
+  if (!deadline_heap_.empty() && deadline_[deadline_heap_.front()] <= now_) {
     due_scratch_.clear();
-    while (!deadline_heap_.empty() && deadline_heap_.front().time <= now_) {
-      JobId id = deadline_heap_.front().job;
-      heap_pop(deadline_heap_);
+    while (!deadline_heap_.empty() &&
+           deadline_[deadline_heap_.front()] <= now_) {
+      JobId id = deadline_heap_.front();
+      std::pop_heap(deadline_heap_.begin(), deadline_heap_.end(), by_deadline);
+      deadline_heap_.pop_back();
       if (state_[id] == JobState::kActive) due_scratch_.push_back(id);
     }
     std::sort(due_scratch_.begin(), due_scratch_.end());
@@ -157,22 +222,25 @@ void Simulator::deliver_events_at_now() {
       ++stats_.misses;
       if (tracing)
         obs::trace_event("sim", "miss",
-                         {{"t", now_}, {"job", id},
-                          {"remaining", remaining_[id]}});
+                         {{"t", now()}, {"job", id},
+                          {"remaining", remaining(id)}});
       policy_->on_miss(*this, id);
     }
   }
   // 3. Releases due now.
-  while (!pending_.empty() && pending_.front().time <= now_) {
-    JobId id = pending_.front().job;
-    heap_pop(pending_);
+  const LaterTick by_release{&release_};
+  while (!pending_.empty() && release_[pending_.front()] <= now_) {
+    JobId id = pending_.front();
+    std::pop_heap(pending_.begin(), pending_.end(), by_release);
+    pending_.pop_back();
     state_[id] = JobState::kActive;
-    heap_push(deadline_heap_, deadline_[id], id);
+    deadline_heap_.push_back(id);
+    std::push_heap(deadline_heap_.begin(), deadline_heap_.end(), by_deadline);
     ++stats_.releases;
     if (tracing) {
       const Job& job = instance_.job(id);
       obs::trace_event("sim", "release",
-                       {{"t", now_}, {"job", id},
+                       {{"t", now()}, {"job", id},
                         {"deadline", job.deadline},
                         {"processing", job.processing}});
     }
@@ -188,7 +256,7 @@ void Simulator::deliver_events_at_now() {
       if ((m < before.size() ? before[m] : kInvalidJob) == job) continue;
       obs::trace_event(
           "sim", "dispatch",
-          {{"t", now_}, {"machine", m},
+          {{"t", now()}, {"machine", m},
            {"job", job == kInvalidJob ? std::int64_t{-1}
                                       : static_cast<std::int64_t>(job)}});
     }
@@ -197,26 +265,42 @@ void Simulator::deliver_events_at_now() {
   }
 }
 
-Rat Simulator::next_event_time(const Rat& horizon) {
-  Rat next = horizon;
-  if (!pending_.empty()) next = Rat::min(next, pending_.front().time);
-  for (std::size_t m = 0; m < running_.size(); ++m) {
-    JobId job = running_[m];
-    if (job != kInvalidJob)
-      next = Rat::min(next, now_ + remaining_[job] / speed_);
+BigInt Simulator::next_event_time() {
+  obs::ProfileSpan span("sim_next_event");
+  // The candidates are located first and read last: the policy's wake-up
+  // may refine the grid, which rescales the stored ticks in place.
+  const BigInt* soonest = nullptr;  // least remaining wall time running
+  for (JobId job : running_) {
+    if (job == kInvalidJob) continue;
+    if (soonest == nullptr || remaining_[job] < *soonest)
+      soonest = &remaining_[job];
   }
   prune_deadline_heap();
-  if (!deadline_heap_.empty())
-    next = Rat::min(next, deadline_heap_.front().time);
-  if (auto wakeup = policy_->next_wakeup(*this); wakeup && now_ < *wakeup) {
-    if (*wakeup <= next && obs::trace_enabled())
-      obs::trace_event("sim", "wakeup", {{"t", *wakeup}});
-    next = Rat::min(next, *wakeup);
+  const JobId release = pending_.empty() ? kInvalidJob : pending_.front();
+  const JobId due =
+      deadline_heap_.empty() ? kInvalidJob : deadline_heap_.front();
+  const std::optional<Rat> wakeup = policy_->next_wakeup(*this);
+  BigInt wakeup_ticks;
+  if (wakeup) wakeup_ticks = on_grid(*wakeup);
+
+  BigInt next = until_;
+  if (release != kInvalidJob && release_[release] < next)
+    next = release_[release];
+  if (soonest != nullptr) {
+    BigInt completion = now_ + *soonest;
+    if (completion < next) next = std::move(completion);
   }
-  return Rat::max(next, now_);
+  if (due != kInvalidJob && deadline_[due] < next) next = deadline_[due];
+  if (wakeup && now_ < wakeup_ticks) {
+    if (wakeup_ticks <= next && obs::trace_enabled())
+      obs::trace_event("sim", "wakeup", {{"t", *wakeup}});
+    if (wakeup_ticks < next) next = std::move(wakeup_ticks);
+  }
+  if (next < now_) next = now_;
+  return next;
 }
 
-void Simulator::advance_to(const Rat& t) {
+void Simulator::advance_to(const BigInt& t) {
   obs::ProfileSpan profile_span("sim_advance");
   const bool tracing = obs::trace_enabled();
   // A job that was processed in the previous slice, still has work left, but
@@ -228,12 +312,13 @@ void Simulator::advance_to(const Rat& t) {
       ++stats_.preemptions;
       if (tracing)
         obs::trace_event("sim", "preempt",
-                         {{"t", now_}, {"job", job},
-                          {"remaining", remaining_[job]}});
+                         {{"t", now()}, {"job", job},
+                          {"remaining", remaining(job)}});
     }
   }
   prev_slice_jobs_.clear();
-  const Rat span = t - now_;
+  const BigInt span = t - now_;
+  std::size_t start = kNoSlot;  // now's index in trace_points_
   for (std::size_t m = 0; m < running_.size(); ++m) {
     JobId job = running_[m];
     if (job == kInvalidJob) continue;
@@ -241,42 +326,65 @@ void Simulator::advance_to(const Rat& t) {
       ++stats_.migrations;
       if (tracing)
         obs::trace_event("sim", "migrate",
-                         {{"t", now_}, {"job", job},
+                         {{"t", now()}, {"job", job},
                           {"from", last_machine_[job]}, {"to", m}});
     }
     last_machine_[job] = m;
     prev_slice_jobs_.push_back(job);
-    trace_.add_slot(m, now_, t, job);
-    if (!machine_touched_[m]) {
-      machine_touched_[m] = true;
-      ++machines_used_;
+    if (start == kNoSlot) {
+      if (!grid_traced_) {
+        trace_grids_.push_back(grid_);
+        grid_traced_ = true;
+      }
+      const std::size_t grid = trace_grids_.size() - 1;
+      if (!now_traced_) trace_points_.push_back({now_, grid});
+      start = trace_points_.size() - 1;
+      trace_points_.push_back({t, grid});
     }
-    remaining_[job] -= span * speed_;
+    std::size_t& last = last_slot_[m];
+    if (last == kNoSlot) ++machines_used_;
+    if (last != kNoSlot && trace_[last].job == job &&
+        trace_[last].end == start) {
+      trace_[last].end = start + 1;
+    } else {
+      last = trace_.size();
+      trace_.push_back({m, job, start, start + 1});
+    }
+    remaining_[job] -= span;
     if (remaining_[job].is_negative())
       throw std::logic_error("Simulator: job overshot its completion");
   }
   now_ = t;
+  now_view_fresh_ = false;
+  now_traced_ = start != kNoSlot;
 }
 
-void Simulator::run_until(const Rat& t) {
-  if (t < now_)
-    throw std::invalid_argument("Simulator: cannot run backwards");
+void Simulator::run_loop() {
   while (true) {
     deliver_events_at_now();
-    Rat next = next_event_time(t);
+    BigInt next = next_event_time();
     if (next == now_) {
-      if (now_ == t) break;
+      if (now_ == until_) break;
       throw std::logic_error("Simulator: no progress");
     }
     advance_to(next);
   }
 }
 
+void Simulator::run_until(const Rat& t) {
+  until_ = on_grid(t);
+  if (until_ < now_)
+    throw std::invalid_argument("Simulator: cannot run backwards");
+  run_loop();
+}
+
 void Simulator::run_to_completion() {
   while (!all_done()) {
     // Horizon: far enough to hit the next event; the max deadline (cached
     // at submit time) bounds all remaining activity.
-    run_until(Rat::max(now_ + Rat(1), max_deadline_));
+    until_ = now_ + grid_;
+    if (until_ < max_deadline_) until_ = max_deadline_;
+    run_loop();
   }
 }
 
@@ -340,9 +448,15 @@ SimRun simulate(OnlinePolicy& policy, const Instance& instance, Rat speed,
 }
 
 Schedule Simulator::schedule() const {
-  Schedule copy = trace_;
-  copy.canonicalize();
-  return copy;
+  std::vector<Rat> times;
+  times.reserve(trace_points_.size());
+  for (const TracePoint& point : trace_points_)
+    times.emplace_back(point.ticks, trace_grids_[point.grid]);
+  Schedule out;
+  for (const TickSlot& slot : trace_)
+    out.add_slot(slot.machine, times[slot.start], times[slot.end], slot.job);
+  out.canonicalize();
+  return out;
 }
 
 }  // namespace minmach

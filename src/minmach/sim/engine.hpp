@@ -2,8 +2,17 @@
 //
 // Time advances only at events: job releases, completions, deadline
 // expiries, and policy-requested wake-ups (e.g. LLF laxity crossings,
-// MediumFit start times). All times are exact rationals, so adversary
-// constructions that rescale by tiny amounts stay exact.
+// MediumFit start times). Times are exact, and the simulator keeps each
+// one as a tick: a BigInt numerator over one grid denominator D, the lcm
+// of every denominator it has been given (job parameters at submit,
+// run_until targets, policy wake-ups). A value off the grid refines it
+// once, multiplying D and every live tick by D' / D, so the event loop
+// adds and compares integers, with no gcd and no cross-multiplication,
+// and adversary constructions that rescale by tiny amounts stay exact.
+// Rat is built only at the API boundary: now(), remaining(), schedule()
+// and trace events. Policies that want the ticks themselves read the grid
+// view (grid(), now_ticks(), deadline_ticks(), remaining_ticks()), as the
+// non-migratory admission test does.
 //
 // The policy is called back on releases/completions/misses and then asked to
 // dispatch: to state, for each machine it uses, which active job runs until
@@ -16,13 +25,14 @@
 // and "any online algorithm".
 //
 // Memory layout (DESIGN.md §10): per-job state is a structure of arrays
-// keyed by the dense JobId -- deadline, remaining work, and a one-byte
-// lifecycle state in parallel vectors -- so the hot event loop walks flat
-// arrays instead of chasing Job records. The release and deadline queues
-// are binary heaps over pooled vectors (std::push_heap/pop_heap), and
-// reset() clears every container without releasing storage, which lets
-// simulate() keep one pooled Simulator per thread: steady-state sweeps
-// run with zero container construction per simulation.
+// keyed by the dense JobId -- release, deadline and remaining wall time in
+// ticks, and a one-byte lifecycle state in parallel vectors -- so the hot
+// event loop walks flat arrays instead of chasing Job records. The release
+// and deadline queues are binary heaps of job ids over pooled vectors
+// (std::push_heap/pop_heap), and reset() clears every container without
+// releasing storage, which lets simulate() keep one pooled Simulator per
+// thread: steady-state sweeps run with zero container construction per
+// simulation.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +43,7 @@
 
 #include "minmach/core/instance.hpp"
 #include "minmach/core/schedule.hpp"
+#include "minmach/util/bigint.hpp"
 
 namespace minmach {
 
@@ -97,14 +108,15 @@ class Simulator {
   // Advances until every submitted job is finished or missed.
   void run_to_completion();
 
-  [[nodiscard]] const Rat& now() const { return now_; }
+  // Built from the ticks on the first call after each advance.
+  [[nodiscard]] const Rat& now() const;
   [[nodiscard]] const Rat& speed() const { return speed_; }
   [[nodiscard]] const Instance& instance() const { return instance_; }
   [[nodiscard]] const Job& job(JobId id) const { return instance_.job(id); }
   [[nodiscard]] std::size_t job_count() const { return instance_.size(); }
 
   // Work still owed to the job (in processing units, not wall time).
-  [[nodiscard]] const Rat& remaining(JobId id) const { return remaining_[id]; }
+  [[nodiscard]] Rat remaining(JobId id) const;
   [[nodiscard]] bool released(JobId id) const {
     return state_[id] != JobState::kPending;
   }
@@ -141,6 +153,22 @@ class Simulator {
 
   [[nodiscard]] OnlinePolicy& policy() { return *policy_; }
 
+  // --- grid view ---
+  // Times in ticks of length 1 / grid(). A submit, run_until or wake-up
+  // off the grid refines it and rescales every tick, so read them afresh
+  // in each callback rather than keeping them across one.
+  [[nodiscard]] const BigInt& grid() const { return grid_; }
+  [[nodiscard]] const BigInt& now_ticks() const { return now_; }
+  // Defined while the job has not finished.
+  [[nodiscard]] const BigInt& deadline_ticks(JobId id) const {
+    return deadline_[id];
+  }
+  // Remaining wall time at the machine speed, remaining(id) / speed();
+  // zero once the job has finished.
+  [[nodiscard]] const BigInt& remaining_ticks(JobId id) const {
+    return remaining_[id];
+  }
+
  private:
   // Lifecycle of a submitted job. kActive covers released-and-open;
   // kFinished/kMissed imply released, so released() is a != kPending test.
@@ -159,52 +187,96 @@ class Simulator {
                                          bool require_no_miss);
 
   void deliver_events_at_now();
-  [[nodiscard]] Rat next_event_time(const Rat& horizon);
-  void advance_to(const Rat& t);
+  [[nodiscard]] BigInt next_event_time();
+  void advance_to(const BigInt& t);
+  // Delivers events and advances until now reaches until_.
+  void run_loop();
+
+  // Refines the grid until `den` divides it: grid_ becomes
+  // lcm(grid_, den) and every live tick is rescaled by the same factor.
+  void put_on_grid(const BigInt& den);
+  // A value whose denominator divides the grid, in ticks.
+  [[nodiscard]] BigInt ticks_of(const Rat& value) const;
+  [[nodiscard]] BigInt on_grid(const Rat& value) {
+    put_on_grid(value.den());
+    return ticks_of(value);
+  }
 
   OnlinePolicy* policy_ = nullptr;
   Rat speed_ = Rat(1);
-  Rat now_ = Rat(0);
+  // Every tick below counts units of 1 / grid_.
+  BigInt grid_ = 1;
+  BigInt now_ = 0;
+  BigInt until_ = 0;  // target of the current run_until
+  mutable Rat now_view_;
+  mutable bool now_view_fresh_ = true;
 
   Instance instance_;
-  // Structure-of-arrays job store, indexed by JobId. deadline_ duplicates
-  // instance_'s deadlines so the miss/advance loops stay on flat arrays.
-  std::vector<Rat> deadline_;
-  std::vector<Rat> remaining_;
+  // Structure-of-arrays job store, indexed by JobId. A refinement rescales
+  // the ticks of unfinished jobs only: release_ is read while the job is
+  // pending, deadline_ until it finishes, and remaining_ (wall time at the
+  // machine speed) is zero from then on, on any grid.
+  std::vector<BigInt> release_;
+  std::vector<BigInt> deadline_;
+  std::vector<BigInt> remaining_;
   std::vector<JobState> state_;
   std::vector<std::size_t> last_machine_;  // kNeverRan until first run
   std::vector<JobId> missed_list_;
+  // Submitted jobs whose ticks a refinement rescales: every job not yet
+  // finished (compacted at each refinement). Missed jobs stay, so their
+  // remaining() stays exact.
+  std::vector<JobId> unfinished_;
 
-  // Min-heaps by (time, job) over pooled vectors; node storage survives
-  // reset(). pending_ holds future releases; deadline_heap_ the deadlines
-  // of released jobs, lazily pruned (entries for finished/missed jobs are
-  // skipped at peek time) so next_event_time() and the miss scan touch
-  // only due jobs instead of rescanning the whole instance.
-  struct EventNode {
-    Rat time;
-    JobId job;
-  };
-  struct EventAfter {
-    bool operator()(const EventNode& a, const EventNode& b) const {
-      return b.time < a.time || (b.time == a.time && b.job < a.job);
+  // Min-heaps of job ids by (ticks, id) over pooled vectors; storage
+  // survives reset(). pending_ holds future releases keyed by release_;
+  // deadline_heap_ the released jobs keyed by deadline_, lazily pruned
+  // (entries for finished/missed jobs are skipped at peek time, and
+  // dropped at a refinement, which leaves their ticks behind) so
+  // next_event_time() and the miss scan touch only due jobs instead of
+  // rescanning the whole instance.
+  struct LaterTick {
+    const std::vector<BigInt>* key;
+    bool operator()(JobId a, JobId b) const {
+      const auto order = (*key)[b] <=> (*key)[a];
+      return order < 0 || (order == 0 && b < a);
     }
   };
-  std::vector<EventNode> pending_;
-  std::vector<EventNode> deadline_heap_;
+  std::vector<JobId> pending_;
+  std::vector<JobId> deadline_heap_;
   std::vector<JobId> due_scratch_;  // miss batch, reused every delivery
-  void heap_push(std::vector<EventNode>& heap, Rat time, JobId job);
-  void heap_pop(std::vector<EventNode>& heap);
   void prune_deadline_heap();
 
   // Submitted jobs not yet finished or missed; all_done() is O(1).
   std::size_t open_jobs_ = 0;
   // Max deadline over all submitted jobs; run_to_completion()'s horizon.
-  Rat max_deadline_ = Rat(0);
+  BigInt max_deadline_ = 0;
 
   std::vector<JobId> running_;
-  Schedule trace_;
-  std::vector<bool> machine_touched_;
+  // Processing trace: the boundaries of every slice in which some machine
+  // ran, each in the ticks of the grid it was recorded on (an index into
+  // trace_grids_), and per machine slots [start, end) over those points. A
+  // job that runs on through an event extends its slot. schedule() builds
+  // the Rats.
+  struct TracePoint {
+    BigInt ticks;
+    std::size_t grid;
+  };
+  struct TickSlot {
+    std::size_t machine;
+    JobId job;
+    std::size_t start;  // indices into trace_points_
+    std::size_t end;
+  };
+  std::vector<TracePoint> trace_points_;
+  std::vector<TickSlot> trace_;
+  std::vector<BigInt> trace_grids_;
+  bool grid_traced_ = false;  // trace_grids_.back() == grid_
+  bool now_traced_ = false;   // trace_points_.back() is now
+  // Per machine, the index in trace_ of its latest slot (kNoSlot before
+  // its first); a machine with a slot counts toward machines_used_.
+  std::vector<std::size_t> last_slot_;
   std::size_t machines_used_ = 0;
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   SimStats stats_;
   std::vector<JobId> prev_slice_jobs_;  // jobs processed in the last slice

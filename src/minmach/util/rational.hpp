@@ -118,9 +118,10 @@ class Rat {
 
   // True iff the value is exactly 1. When x is on the limb tier, `x *= 1`
   // and `x /= 1` return x unchanged through this test: the simulator
-  // scales every span and remaining work by the machine speed, which is 1
-  // in most runs, and the general path would pay two gcds, two divisions
-  // and two multiplications to reproduce x.
+  // divides each submitted job's work by the machine speed and multiplies
+  // remaining wall time by it in remaining(), the speed is 1 in most runs,
+  // and the general path would pay two gcds, two divisions and two
+  // multiplications to reproduce x.
   [[nodiscard]] bool is_one() const {
     return num_.is_small() && num_.small_value() == 1 && den_.is_small() &&
            den_.small_value() == 1;

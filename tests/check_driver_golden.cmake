@@ -3,9 +3,11 @@
 # any drift in the exact arithmetic they check: e01 plays the Theorem 3
 # game on rationals whose denominators reach hundreds of bits, e02 checks
 # Theorem 1's equality OPT = max union load on every enumerable instance,
-# and f01 lays out an optimal migratory schedule on the integer grid (and,
-# at --levels=5, on the exact rational fallback). Regenerate a golden file
-# only for an intended change to that driver's output.
+# f01 lays out an optimal migratory schedule on the integer grid (and, at
+# --levels=5, on the exact rational fallback), and e09, e10, e12 and e13
+# drive the simulator's time grid through wake-ups, interactive reads and
+# machine speeds. Regenerate a golden file only for an intended change to
+# that driver's output.
 # Invoked by ctest with -DDRIVER=<path-to-binary> -DGOLDEN=<golden-file>
 # and, optionally, -DARGS=<driver flags> (a ;-list; default: none).
 foreach(var DRIVER GOLDEN)

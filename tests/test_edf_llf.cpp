@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "minmach/algos/edf.hpp"
 #include "minmach/algos/llf.hpp"
 #include "minmach/core/validate.hpp"
@@ -79,6 +81,39 @@ TEST(Llf, WakesUpAtLaxityCrossing) {
   EXPECT_TRUE(validate(in, run.schedule).ok);
   // Job 1 (laxity 2 at release, vs job 0 laxity 6): must preempt job 0.
   EXPECT_EQ(run.schedule.slots(0)[1].job, 1u);
+}
+
+// LLF that refuses to dispatch more than 1000 times, so a run whose events
+// pile up toward one instant fails instead of hanging.
+class BoundedLlf : public LlfPolicy {
+ public:
+  using LlfPolicy::LlfPolicy;
+  void dispatch(Simulator& sim) override {
+    if (++dispatches_ > 1000)
+      throw std::runtime_error("LLF: events pile up toward one instant");
+    LlfPolicy::dispatch(sim);
+  }
+
+ private:
+  std::size_t dispatches_ = 0;
+};
+
+TEST(Llf, CrossesLaxitiesExactlyAtSpeedAboveOne) {
+  // On speed-5/4 machines the running job's laxity (6) rises at rate 1/4
+  // while the waiting job's (7) falls at rate 1, so they cross at
+  // 1 / (5/4) = 4/5, where the waiting job takes over. A wake-up at 1
+  // would overshoot the crossing, and each swap after it would come 4x
+  // sooner than the last: infinitely many events before t = 4/3.
+  Instance in({mk(0, 8, 2), mk(0, 9, 2)});
+  BoundedLlf policy(1);
+  SimRun run = simulate(policy, in, Rat(5, 4));
+  EXPECT_FALSE(run.missed);
+  EXPECT_EQ(run.schedule.to_string(),
+            "Schedule(1 machines)\n  M0: [0,4/5)j0 [4/5,12/5)j1 "
+            "[12/5,16/5)j0\n");
+  ValidateOptions options;
+  options.speed = Rat(5, 4);
+  EXPECT_TRUE(validate(in, run.schedule, options).ok);
 }
 
 class PolicyFeasibility : public ::testing::TestWithParam<std::uint64_t> {};

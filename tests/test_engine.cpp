@@ -2,7 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "minmach/algos/edf.hpp"
+#include "minmach/algos/llf.hpp"
+#include "minmach/algos/nonmig.hpp"
 #include "minmach/core/validate.hpp"
+#include "minmach/gen/generators.hpp"
+#include "minmach/util/rng.hpp"
 
 namespace minmach {
 namespace {
@@ -165,6 +179,395 @@ TEST(Simulator, SimulateHelper) {
   EXPECT_THROW((void)simulate(idle, in), std::runtime_error);
   SimRun tolerant = simulate(idle, in, Rat(1), /*require_no_miss=*/false);
   EXPECT_TRUE(tolerant.missed);
+}
+
+// --- The time grid ---
+//
+// The simulator keeps every time as ticks over one grid denominator that
+// refines as off-grid values arrive. These tests replay instances whose
+// jobs carry their own denominators, submitting each job only once the
+// simulation has reached its release, so the grid refines mid-run while
+// releases are pending, jobs are running and trace slots sit on older
+// grids. Each replay is compared with the replay of the same instance
+// pre-scaled to integers, on which the grid never refines.
+
+// Forwards to a policy and checks at every event that the Rat views equal
+// the grid view.
+class GridCheckedPolicy : public OnlinePolicy {
+ public:
+  explicit GridCheckedPolicy(OnlinePolicy& inner) : inner_(inner) {}
+
+  void on_release(Simulator& sim, JobId job) override {
+    check(sim);
+    inner_.on_release(sim, job);
+  }
+  void on_complete(Simulator& sim, JobId job) override {
+    check(sim);
+    inner_.on_complete(sim, job);
+  }
+  void on_miss(Simulator& sim, JobId job) override {
+    check(sim);
+    inner_.on_miss(sim, job);
+  }
+  void dispatch(Simulator& sim) override {
+    check(sim);
+    inner_.dispatch(sim);
+  }
+  std::optional<Rat> next_wakeup(const Simulator& sim) override {
+    check(sim);
+    return inner_.next_wakeup(sim);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  [[nodiscard]] std::size_t checks() const { return checks_; }
+
+ private:
+  void check(const Simulator& sim) {
+    // A run whose events pile up toward one instant fails, not hangs.
+    if (++checks_ > 100000)
+      throw std::runtime_error("events pile up toward one instant");
+    ASSERT_EQ(sim.now(), Rat(sim.now_ticks(), sim.grid()));
+    for (JobId id = 0; id < sim.job_count(); ++id) {
+      const Rat wall(sim.remaining_ticks(id), sim.grid());
+      ASSERT_EQ(sim.remaining(id), wall * sim.speed()) << "job " << id;
+      if (sim.finished(id)) {
+        ASSERT_TRUE(sim.remaining_ticks(id).is_zero()) << "job " << id;
+        continue;
+      }
+      ASSERT_EQ(Rat(sim.deadline_ticks(id), sim.grid()), sim.job(id).deadline)
+          << "job " << id;
+    }
+  }
+
+  OnlinePolicy& inner_;
+  std::size_t checks_ = 0;
+};
+
+// What one replay leaves behind, in the instance's own time unit.
+struct Replay {
+  std::string schedule;
+  SimStats stats;
+  std::size_t machines_used = 0;
+  std::vector<JobId> missed;
+  std::vector<std::optional<std::size_t>> machine_of;
+  BigInt grid;
+  std::size_t checks = 0;
+};
+
+// The policies under test, built fresh per replay. `time_scale` multiplies
+// every time the policy is given (LLF's quantum).
+using PolicyFactory =
+    std::function<std::unique_ptr<OnlinePolicy>(const Rat& time_scale)>;
+
+// Submits the jobs in release order, each after run_until(r_{j - lag}), then
+// runs to completion. Times are multiplied by `scale` on the way in and
+// divided by it on the way out.
+Replay replay(const Instance& instance, const PolicyFactory& make_policy,
+              const Rat& speed, const Rat& scale, std::size_t lag) {
+  std::unique_ptr<OnlinePolicy> policy = make_policy(scale);
+  GridCheckedPolicy checked(*policy);
+  Simulator sim(checked, speed);
+  const std::vector<Job>& jobs = instance.jobs();
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    sim.run_until(jobs[j < lag ? 0 : j - lag].release * scale);
+    sim.submit({jobs[j].release * scale, jobs[j].deadline * scale,
+                jobs[j].processing * scale});
+  }
+  sim.run_to_completion();
+
+  Replay out;
+  Schedule unscaled;
+  const Schedule scaled = sim.schedule();
+  for (std::size_t m = 0; m < scaled.machine_count(); ++m)
+    for (const Slot& slot : scaled.slots(m))
+      unscaled.add_slot(m, slot.start / scale, slot.end / scale, slot.job);
+  unscaled.canonicalize();
+  out.schedule = unscaled.to_string();
+  out.stats = sim.stats();
+  out.machines_used = sim.machines_used();
+  out.missed = sim.missed_jobs();
+  if (auto* nonmig = dynamic_cast<NonMigratoryPolicy*>(policy.get()))
+    for (JobId id = 0; id < jobs.size(); ++id)
+      out.machine_of.push_back(nonmig->machine_of(id));
+  out.grid = sim.grid();
+  out.checks = checked.checks();
+  return out;
+}
+
+// Gives every job its own denominator q from {1, 2, 3, 5, 7}: an integer
+// job (r, d, p) becomes (r + 1/q, d + 1/q, p - 1/q), sorted by release.
+Instance with_job_denominators(const Instance& integral, Rng& rng) {
+  static const std::int64_t kDenominators[] = {1, 2, 3, 5, 7};
+  std::vector<Job> jobs;
+  for (const Job& job : integral.jobs()) {
+    const std::int64_t q = kDenominators[rng.uniform_int(0, 4)];
+    const Rat shift = q == 1 ? Rat(0) : Rat(1, q);
+    jobs.push_back({job.release + shift, job.deadline + shift,
+                    job.processing - shift});
+  }
+  std::stable_sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
+    return a.release < b.release;
+  });
+  return Instance(std::move(jobs));
+}
+
+std::vector<Instance> grid_instances(std::uint64_t seed) {
+  GenConfig config;
+  config.n = 14;
+  config.horizon = 24;
+  config.max_window = 8;
+  config.denominator = 1;
+  const Rat alpha(1, 2);
+  Rng rng(seed);
+  std::vector<Instance> integral = {
+      gen_general(rng, config),
+      gen_agreeable(rng, config),
+      gen_laminar(rng, config),
+      gen_loose(rng, config, alpha),
+      gen_tight(rng, config, alpha),
+      gen_agreeable_tight(rng, config, alpha),
+      gen_laminar_tight(rng, config, alpha),
+      gen_unit(rng, config),
+  };
+  std::vector<Instance> out;
+  for (const Instance& instance : integral)
+    out.push_back(with_job_denominators(instance, rng));
+  return out;
+}
+
+// The lcm of every denominator in the instance, times the speed's
+// numerator (so every wall time p / speed is an integer too) and the
+// denominator of `extra` (LLF's quantum).
+BigInt integer_scale(const Instance& instance, const Rat& speed,
+                     const Rat& extra) {
+  BigInt scale = extra.den();
+  for (const Job& job : instance.jobs())
+    for (const Rat* value : {&job.release, &job.deadline, &job.processing})
+      scale = BigInt::lcm(scale, value->den());
+  return scale * speed.num();
+}
+
+// Replays every family at speeds 1 and 5/4 with lags 0 and 2, against the
+// integer replay. `laxity_counts_work` marks LLF, whose laxity counts
+// remaining work rather than wall time, so that at speed 5/4 its
+// crossings leave the pre-scaled instance's integer grid.
+void expect_grid_replays_match(const PolicyFactory& make_policy,
+                               const Rat& quantum, bool laxity_counts_work) {
+  for (std::uint64_t seed : {11u, 12u}) {
+    const std::vector<Instance> instances = grid_instances(seed);
+    for (std::size_t family = 0; family < instances.size(); ++family) {
+      const Instance& instance = instances[family];
+      for (const Rat& speed : {Rat(1), Rat(5, 4)}) {
+        const Rat scale(integer_scale(instance, speed, quantum), BigInt(1));
+        for (std::size_t lag : {0u, 2u}) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " family " +
+                       std::to_string(family) + " speed " + speed.to_string() +
+                       " lag " + std::to_string(lag));
+          const Replay grid = replay(instance, make_policy, speed, Rat(1), lag);
+          const Replay integer =
+              replay(instance, make_policy, speed, scale, lag);
+          EXPECT_EQ(grid.schedule, integer.schedule);
+          EXPECT_EQ(grid.stats.releases, integer.stats.releases);
+          EXPECT_EQ(grid.stats.completions, integer.stats.completions);
+          EXPECT_EQ(grid.stats.misses, integer.stats.misses);
+          EXPECT_EQ(grid.stats.dispatches, integer.stats.dispatches);
+          EXPECT_EQ(grid.stats.preemptions, integer.stats.preemptions);
+          EXPECT_EQ(grid.stats.migrations, integer.stats.migrations);
+          EXPECT_EQ(grid.machines_used, integer.machines_used);
+          EXPECT_EQ(grid.missed, integer.missed);
+          EXPECT_EQ(grid.machine_of, integer.machine_of);
+          EXPECT_EQ(grid.stats.releases, instance.size());
+          EXPECT_GT(grid.checks, instance.size());
+          // The per-job denominators refined the grid; the pre-scaled
+          // instance never did.
+          EXPECT_NE(grid.grid, BigInt(1));
+          if (!laxity_counts_work || speed == Rat(1)) {
+            EXPECT_EQ(integer.grid, BigInt(1));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimulatorGrid, FirstFitReplaysMatchTheIntegerGrid) {
+  expect_grid_replays_match(
+      [](const Rat&) {
+        return std::make_unique<FitPolicy>(FitRule::kFirstFit);
+      },
+      Rat(0), false);
+}
+
+TEST(SimulatorGrid, BestFitReplaysMatchTheIntegerGrid) {
+  expect_grid_replays_match(
+      [](const Rat&) {
+        return std::make_unique<FitPolicy>(FitRule::kBestFit);
+      },
+      Rat(0), false);
+}
+
+TEST(SimulatorGrid, EdfReplaysMatchTheIntegerGrid) {
+  expect_grid_replays_match(
+      [](const Rat&) { return std::make_unique<EdfPolicy>(2); }, Rat(0), false);
+}
+
+TEST(SimulatorGrid, LlfWithQuantumReplaysMatchTheIntegerGrid) {
+  const Rat quantum(1, 2);
+  expect_grid_replays_match(
+      [quantum](const Rat& scale) {
+        return std::make_unique<LlfPolicy>(2, quantum * scale);
+      },
+      quantum, true);
+}
+
+TEST(SimulatorGrid, MissedJobRemainingStaysExactAcrossRefinements) {
+  for (const Rat& speed : {Rat(1), Rat(5, 4)}) {
+    SCOPED_TRACE("speed " + speed.to_string());
+    EdfPolicy policy(1);
+    Simulator sim(policy, speed);
+    // EDF on one machine runs b over [0, 1/speed), then a until its
+    // deadline 2, where a misses with 7/4 - (2 - 1/speed) * speed of work
+    // left.
+    const JobId a = sim.submit({Rat(0), Rat(2), Rat(7, 4)});
+    sim.submit({Rat(0), Rat(1), Rat(1)});
+    sim.run_until(Rat(2));
+    ASSERT_TRUE(sim.missed(a));
+    const Rat left = Rat(7, 4) - (Rat(2) - Rat(1) / speed) * speed;
+    ASSERT_TRUE(left.is_positive());
+    EXPECT_EQ(sim.remaining(a), left);
+    // Each later submit puts a new prime on the grid.
+    for (std::int64_t q : {3, 7, 11, 13}) {
+      const BigInt before = sim.grid();
+      sim.submit({Rat(2 * q + 1, q), Rat(4 * q + 1, q), Rat(1, q)});
+      EXPECT_NE(sim.grid(), before);
+      EXPECT_EQ(sim.remaining(a), left);
+    }
+    sim.run_to_completion();
+    EXPECT_EQ(sim.remaining(a), left);
+    EXPECT_EQ(sim.missed_jobs(), std::vector<JobId>{a});
+  }
+}
+
+// Runs every active job with an even id on its own machine and leaves the
+// odd ones waiting, so they miss; records the time of every miss.
+class EvenOnlyPolicy : public OnlinePolicy {
+ public:
+  void on_release(Simulator&, JobId) override {}
+  void on_miss(Simulator& sim, JobId job) override {
+    misses.emplace_back(job, sim.now());
+  }
+  void dispatch(Simulator& sim) override {
+    for (JobId id = 0; id < sim.job_count(); id += 2) {
+      if (sim.released(id) && !sim.finished(id) && !sim.missed(id))
+        sim.set_running(id, id);
+      else if (id < sim.machine_slots())
+        sim.set_running(id, kInvalidJob);
+    }
+  }
+  [[nodiscard]] std::string name() const override { return "EvenOnly"; }
+
+  std::vector<std::pair<JobId, Rat>> misses;
+};
+
+TEST(SimulatorGrid, MissesFireAtTheirDeadlinesAfterRefinements) {
+  // Short even jobs finish early and leave stale entries all through the
+  // deadline heap; each refinement drops them while the odd jobs are still
+  // waiting for their deadlines, scattered over [1, 12] (and 20 for the
+  // odd one of the three refining jobs). The deadlines are chosen so that
+  // the heap left after dropping the stale entries is no heap unless it
+  // is rebuilt.
+  EvenOnlyPolicy policy;
+  Simulator sim(policy);
+  const std::int64_t even_deadlines[] = {2, 17, 10, 19, 9, 8, 17, 19, 19, 17};
+  const std::int64_t odd_deadlines[] = {4, 10, 9, 3, 6, 5, 12, 7, 1, 11};
+  for (std::int64_t i = 0; i < 10; ++i) {
+    sim.submit({Rat(0), Rat(even_deadlines[i]), Rat(1, 8 + i)});
+    sim.submit({Rat(0), Rat(odd_deadlines[i]), Rat(1, 2)});
+  }
+  sim.run_until(Rat(1, 2));
+  for (std::int64_t q : {29, 23, 19}) {  // primes off the grid so far
+    const BigInt before = sim.grid();
+    sim.submit({Rat(1, 2) + Rat(1, q), Rat(20), Rat(1, q)});
+    EXPECT_NE(sim.grid(), before);
+    sim.run_until(Rat(1, 2) + Rat(1, q));
+  }
+  sim.run_to_completion();
+  ASSERT_EQ(policy.misses.size(), 11u);
+  for (const auto& [job, when] : policy.misses) {
+    EXPECT_EQ(job % 2, 1u);
+    EXPECT_EQ(when, sim.job(job).deadline) << "job " << job;
+  }
+  for (std::size_t i = 1; i < policy.misses.size(); ++i)
+    EXPECT_LT(policy.misses[i - 1].second, policy.misses[i].second);
+}
+
+// Runs every active job on its own machine and, from next_wakeup, sets one
+// more job running behind the simulator's back, after the completions have
+// been read: the slice then overshoots that job's completion.
+class LateDispatchPolicy : public OnlinePolicy {
+ public:
+  void on_release(Simulator& sim, JobId) override { sim_ = &sim; }
+  void dispatch(Simulator& sim) override {
+    if (sim.released(0) && !sim.finished(0)) sim.set_running(0, 0);
+  }
+  std::optional<Rat> next_wakeup(const Simulator&) override {
+    if (sim_ != nullptr && sim_->released(1) && !sim_->finished(1))
+      sim_->set_running(1, 1);
+    return std::nullopt;
+  }
+  [[nodiscard]] std::string name() const override { return "LateDispatch"; }
+
+ private:
+  Simulator* sim_ = nullptr;
+};
+
+std::string error_of(const std::function<void()>& action) {
+  try {
+    action();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SimulatorGrid, ErrorsAreUnchangedOffTheGrid) {
+  OnePerMachinePolicy policy;
+  Simulator sim(policy, Rat(5, 4));
+  const std::string malformed = "Simulator: malformed job";
+  // p / speed must fit the window: 5/4 of a window fits at speed 5/4, a
+  // hair more does not, and p must be positive.
+  EXPECT_EQ(error_of([&] { sim.submit({Rat(1, 3), Rat(2, 3), Rat(0)}); }),
+            malformed);
+  EXPECT_EQ(error_of([&] {
+              sim.submit({Rat(1, 3), Rat(2, 3), Rat(5, 12) + Rat(1, 1000)});
+            }),
+            malformed);
+  EXPECT_EQ(error_of([&] { sim.submit({Rat(1, 3), Rat(1, 7), Rat(1, 9)}); }),
+            malformed);
+  EXPECT_EQ(sim.job_count(), 0u);
+  const JobId fits = sim.submit({Rat(1, 3), Rat(2, 3), Rat(5, 12)});
+  sim.run_until(Rat(1, 2));
+  EXPECT_EQ(error_of([&] { sim.submit({Rat(2, 5), Rat(3), Rat(1)}); }),
+            "Simulator: release date in the past");
+  EXPECT_EQ(error_of([&] { sim.run_until(Rat(3, 7)); }),
+            "Simulator: cannot run backwards");
+  // The refusals refined the grid but left the run intact.
+  EXPECT_EQ(sim.job_count(), 1u);
+  EXPECT_EQ(sim.now(), Rat(1, 2));
+  EXPECT_EQ(sim.remaining(fits),
+            Rat(5, 12) - (Rat(1, 2) - Rat(1, 3)) * Rat(5, 4));
+  sim.run_to_completion();
+  EXPECT_TRUE(sim.finished(fits));
+  EXPECT_FALSE(sim.any_missed());
+  EXPECT_EQ(sim.schedule().to_string(),
+            "Schedule(1 machines)\n  M0: [1/3,2/3)j0\n");
+
+  LateDispatchPolicy late;
+  Simulator overshoot(late);
+  overshoot.submit({Rat(0), Rat(10), Rat(5)});
+  overshoot.submit({Rat(0), Rat(10), Rat(1, 3)});
+  EXPECT_EQ(error_of([&] { overshoot.run_until(Rat(1)); }),
+            "Simulator: job overshot its completion");
 }
 
 }  // namespace
