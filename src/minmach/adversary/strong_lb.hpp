@@ -9,10 +9,16 @@
 // Hence A uses Omega(log n) machines while the migratory optimum is 3.
 //
 // The construction is reactive: which job is released next, and with which
-// exact rational parameters, depends on the opponent's observed schedule
-// (which machine it committed each job to, and the remaining processing
-// times at the critical times). This file implements the recursion
-// verbatim:
+// exact parameters, depends on the opponent's observed schedule (which
+// machine it committed each job to, and the remaining processing times at
+// the critical times). The game keeps every time and length as integer
+// ticks of the simulator's time grid (sim/engine.hpp) and refines the grid
+// when a value it derives (alpha * scale, beta * scale, eps'/2, p*) lies
+// off it, so its arithmetic is integer adds, compares and exact divisions.
+// Rats are built only for the result's critical_time and for trace events;
+// the adversary.den_bits observation (the bits of each level's scale in
+// lowest terms) costs one gcd per level.
+// This file implements the recursion verbatim:
 //   base k = 2: a long job j_1 (p = alpha * scale) plus a stream of short
 //     jobs (p = alpha*beta*scale in beta*scale windows) that cannot all
 //     share j_1's machine (inequality (1): alpha > 1/2, and

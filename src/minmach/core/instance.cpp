@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "minmach/util/simd.hpp"
 
 namespace minmach {
 
-JobId Instance::add_job(const Job& job) {
-  jobs_.push_back(job);
+JobId Instance::add_job(Job job) {
+  jobs_.push_back(std::move(job));
   return static_cast<JobId>(jobs_.size() - 1);
 }
 

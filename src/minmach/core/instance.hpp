@@ -42,7 +42,7 @@ class Instance {
   [[nodiscard]] const Job& job(JobId id) const { return jobs_[id]; }
   [[nodiscard]] const std::vector<Job>& jobs() const { return jobs_; }
 
-  JobId add_job(const Job& job);
+  JobId add_job(Job job);
 
   // Removes all jobs but keeps the storage, so a pooled simulator can
   // resubmit a fresh instance without reallocating (DESIGN.md §10).

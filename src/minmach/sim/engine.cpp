@@ -35,6 +35,7 @@ void Simulator::reset(OnlinePolicy& policy, Rat speed) {
   remaining_.clear();
   state_.clear();
   last_machine_.clear();
+  running_machine_.clear();
   missed_list_.clear();
   unfinished_.clear();
   pending_.clear();
@@ -72,7 +73,14 @@ void Simulator::put_on_grid(const BigInt& den) {
   if (split.remainder.is_zero()) return;
   // lcm(D, den) = D * f with f = den / gcd(D, den), and
   // gcd(D, den) = gcd(den, D mod den).
-  const BigInt factor = den / BigInt::gcd(den, split.remainder);
+  refine(den / BigInt::gcd(den, split.remainder));
+}
+
+void Simulator::refine(BigInt factor) {
+  if (factor.is_small() && factor.small_value() == 1) return;
+  if (factor.signum() <= 0)
+    throw std::invalid_argument("Simulator: refinement factor below 1");
+  obs::ProfileSpan span("sim_refine");
   grid_ *= factor;
   now_ *= factor;
   until_ *= factor;
@@ -103,30 +111,39 @@ BigInt Simulator::ticks_of(const Rat& value) const {
 
 JobId Simulator::submit(const Job& job) {
   obs::ProfileSpan span("sim_submit");
-  // Well-formedness relative to the machine speed: the job must fit its
-  // window when processed continuously at rate `speed_`.
-  if (!job.processing.is_positive())
-    throw std::invalid_argument("Simulator: malformed job");
   const Rat wall = job.processing / speed_;
   // Every value goes on the grid before any is converted: a refinement
   // rescales only the ticks already stored.
   put_on_grid(job.release.den());
   put_on_grid(job.deadline.den());
   put_on_grid(wall.den());
-  BigInt release = ticks_of(job.release);
-  BigInt deadline = ticks_of(job.deadline);
-  BigInt remaining = ticks_of(wall);
-  if (remaining > deadline - release)
+  return queue(job, ticks_of(job.release), ticks_of(job.deadline),
+               ticks_of(wall));
+}
+
+JobId Simulator::submit_ticks(BigInt release, BigInt deadline, BigInt wall) {
+  obs::ProfileSpan span("sim_submit");
+  Job job{Rat(release, grid_), Rat(deadline, grid_), Rat(wall, grid_) * speed_};
+  return queue(std::move(job), std::move(release), std::move(deadline),
+               std::move(wall));
+}
+
+JobId Simulator::queue(Job job, BigInt release, BigInt deadline,
+                       BigInt wall) {
+  // Well-formedness relative to the machine speed: the job must fit its
+  // window when processed continuously at rate `speed_`.
+  if (wall.signum() <= 0 || wall > deadline - release)
     throw std::invalid_argument("Simulator: malformed job");
   if (release < now_)
     throw std::invalid_argument("Simulator: release date in the past");
-  JobId id = instance_.add_job(job);
+  JobId id = instance_.add_job(std::move(job));
   if (deadline > max_deadline_) max_deadline_ = deadline;
   release_.push_back(std::move(release));
   deadline_.push_back(std::move(deadline));
-  remaining_.push_back(std::move(remaining));
+  remaining_.push_back(std::move(wall));
   state_.push_back(JobState::kPending);
   last_machine_.push_back(kNeverRan);
+  running_machine_.push_back(kNotRunning);
   unfinished_.push_back(id);
   pending_.push_back(id);
   std::push_heap(pending_.begin(), pending_.end(), LaterTick{&release_});
@@ -169,12 +186,14 @@ void Simulator::set_running(std::size_t machine, JobId job) {
     if (job >= state_.size() || state_[job] != JobState::kActive)
       throw std::logic_error("Simulator: dispatching inactive job");
     // A job must not run on two machines at once.
-    for (std::size_t m = 0; m < running_.size(); ++m) {
-      if (m != machine && running_[m] == job)
-        throw std::logic_error("Simulator: job dispatched on two machines");
-    }
+    const std::size_t current = running_machine_[job];
+    if (current != kNotRunning && current != machine)
+      throw std::logic_error("Simulator: job dispatched on two machines");
   }
+  const JobId displaced = running_[machine];
+  if (displaced != kInvalidJob) running_machine_[displaced] = kNotRunning;
   running_[machine] = job;
+  if (job != kInvalidJob) running_machine_[job] = machine;
 }
 
 JobId Simulator::running_on(std::size_t machine) const {
@@ -191,6 +210,7 @@ void Simulator::deliver_events_at_now() {
       state_[job] = JobState::kFinished;
       --open_jobs_;
       running_[m] = kInvalidJob;
+      running_machine_[job] = kNotRunning;
       ++stats_.completions;
       if (tracing)
         obs::trace_event("sim", "complete",
@@ -217,8 +237,10 @@ void Simulator::deliver_events_at_now() {
       state_[id] = JobState::kMissed;
       --open_jobs_;
       missed_list_.push_back(id);
-      for (auto& slot : running_)
-        if (slot == id) slot = kInvalidJob;
+      if (running_machine_[id] != kNotRunning) {
+        running_[running_machine_[id]] = kInvalidJob;
+        running_machine_[id] = kNotRunning;
+      }
       ++stats_.misses;
       if (tracing)
         obs::trace_event("sim", "miss",
@@ -308,7 +330,7 @@ void Simulator::advance_to(const BigInt& t) {
   // other than the one it last ran on migrated.
   for (JobId job : prev_slice_jobs_) {
     if (state_[job] != JobState::kActive) continue;
-    if (std::find(running_.begin(), running_.end(), job) == running_.end()) {
+    if (running_machine_[job] == kNotRunning) {
       ++stats_.preemptions;
       if (tracing)
         obs::trace_event("sim", "preempt",
@@ -372,9 +394,12 @@ void Simulator::run_loop() {
 }
 
 void Simulator::run_until(const Rat& t) {
-  until_ = on_grid(t);
-  if (until_ < now_)
-    throw std::invalid_argument("Simulator: cannot run backwards");
+  run_until_ticks(on_grid(t));
+}
+
+void Simulator::run_until_ticks(const BigInt& t) {
+  if (t < now_) throw std::invalid_argument("Simulator: cannot run backwards");
+  until_ = t;
   run_loop();
 }
 

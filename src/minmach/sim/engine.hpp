@@ -9,10 +9,17 @@
 // once, multiplying D and every live tick by D' / D, so the event loop
 // adds and compares integers, with no gcd and no cross-multiplication,
 // and adversary constructions that rescale by tiny amounts stay exact.
-// Rat is built only at the API boundary: now(), remaining(), schedule()
-// and trace events. Policies that want the ticks themselves read the grid
-// view (grid(), now_ticks(), deadline_ticks(), remaining_ticks()), as the
-// non-migratory admission test does.
+// Rat is built only at the API boundary: now(), remaining(), schedule(),
+// the job records of instance() and trace events.
+//
+// The grid has a read side and a write side. Policies that want the ticks
+// themselves read grid(), now_ticks(), deadline_ticks() and
+// remaining_ticks(), as the non-migratory admission test does. A caller
+// that computes its own times on the grid, as the Theorem 3 adversary
+// does, writes them with submit_ticks() and run_until_ticks() and refines
+// the grid with refine() when a value it derives lies off it. submit(Job)
+// and run_until(Rat) put their values on the grid and then take the same
+// queue and run path.
 //
 // The policy is called back on releases/completions/misses and then asked to
 // dispatch: to state, for each machine it uses, which active job runs until
@@ -156,7 +163,10 @@ class Simulator {
   // --- grid view ---
   // Times in ticks of length 1 / grid(). A submit, run_until or wake-up
   // off the grid refines it and rescales every tick, so read them afresh
-  // in each callback rather than keeping them across one.
+  // in each callback rather than keeping them across one. A caller that
+  // keeps a tick value across a run or a refinement keeps the grid it was
+  // read on with it: each grid is a multiple of every grid before it, so
+  // the value reads as ticks * grid() / grid_then.
   [[nodiscard]] const BigInt& grid() const { return grid_; }
   [[nodiscard]] const BigInt& now_ticks() const { return now_; }
   // Defined while the job has not finished.
@@ -168,6 +178,17 @@ class Simulator {
   [[nodiscard]] const BigInt& remaining_ticks(JobId id) const {
     return remaining_[id];
   }
+
+  // --- grid write side ---
+  // submit() with the release, the deadline and the wall time at the
+  // machine speed (counted like remaining_ticks()) given in ticks of the
+  // current grid; the job's processing is wall * speed(). Refuses what
+  // submit() refuses, with the same messages.
+  JobId submit_ticks(BigInt release, BigInt deadline, BigInt wall);
+  // run_until() with t in ticks of the current grid.
+  void run_until_ticks(const BigInt& t);
+  // Multiplies the grid, and every live tick, by factor (>= 1).
+  void refine(BigInt factor);
 
  private:
   // Lifecycle of a submitted job. kActive covers released-and-open;
@@ -191,6 +212,10 @@ class Simulator {
   void advance_to(const BigInt& t);
   // Delivers events and advances until now reaches until_.
   void run_loop();
+
+  // The one queue path of submit() and submit_ticks(): checks the ticks
+  // and records `job` with them.
+  JobId queue(Job job, BigInt release, BigInt deadline, BigInt wall);
 
   // Refines the grid until `den` divides it: grid_ becomes
   // lcm(grid_, den) and every live tick is rescaled by the same factor.
@@ -221,6 +246,10 @@ class Simulator {
   std::vector<BigInt> remaining_;
   std::vector<JobState> state_;
   std::vector<std::size_t> last_machine_;  // kNeverRan until first run
+  // The machine each job is set running on (kNotRunning when none), so
+  // that running_[running_machine_[j]] == j: set_running() refuses a job
+  // already on another machine in O(1).
+  std::vector<std::size_t> running_machine_;
   std::vector<JobId> missed_list_;
   // Submitted jobs whose ticks a refinement rescales: every job not yet
   // finished (compacted at each refinement). Missed jobs stay, so their
@@ -281,6 +310,7 @@ class Simulator {
   SimStats stats_;
   std::vector<JobId> prev_slice_jobs_;  // jobs processed in the last slice
   static constexpr std::size_t kNeverRan = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNotRunning = static_cast<std::size_t>(-1);
 };
 
 // Convenience driver: simulate the full instance against the policy and

@@ -167,6 +167,53 @@ TEST(Simulator, RejectsJobOnTwoMachines) {
   EXPECT_THROW(sim.run_until(Rat(1)), std::logic_error);
 }
 
+// Runs job 0 on machine 0 in the first dispatch and on machine 1 in every
+// later one, clearing machine 0 first when `reset_first` is set.
+class MovingPolicy : public OnlinePolicy {
+ public:
+  explicit MovingPolicy(bool reset_first) : reset_first_(reset_first) {}
+  void on_release(Simulator&, JobId) override {}
+  void dispatch(Simulator& sim) override {
+    if (!sim.released(0) || sim.finished(0)) return;
+    if (dispatches_++ == 0) {
+      sim.set_running(0, 0);
+      return;
+    }
+    if (reset_first_) sim.set_running(0, kInvalidJob);
+    sim.set_running(1, 0);
+  }
+  [[nodiscard]] std::string name() const override { return "Moving"; }
+
+ private:
+  bool reset_first_;
+  int dispatches_ = 0;
+};
+
+TEST(Simulator, AcceptsAJobMovedToAnotherMachine) {
+  MovingPolicy policy(/*reset_first=*/true);
+  Simulator sim(policy);
+  sim.submit(mk(0, 4, 2));
+  sim.run_until(Rat(1));
+  EXPECT_EQ(sim.running_on(0), kInvalidJob);
+  EXPECT_EQ(sim.running_on(1), 0u);
+  sim.run_to_completion();
+  EXPECT_EQ(sim.schedule().to_string(),
+            "Schedule(2 machines)\n  M0: [0,1)j0\n  M1: [1,2)j0\n");
+  EXPECT_EQ(sim.stats().migrations, 1u);
+}
+
+TEST(Simulator, RejectsAJobLeftOnItsPreviousMachine) {
+  MovingPolicy policy(/*reset_first=*/false);
+  Simulator sim(policy);
+  sim.submit(mk(0, 4, 2));
+  try {
+    sim.run_until(Rat(1));
+    FAIL() << "a job on two machines was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "Simulator: job dispatched on two machines");
+  }
+}
+
 TEST(Simulator, SimulateHelper) {
   OnePerMachinePolicy policy;
   Instance in({mk(0, 4, 2), mk(0, 4, 2)});
@@ -568,6 +615,214 @@ TEST(SimulatorGrid, ErrorsAreUnchangedOffTheGrid) {
   overshoot.submit({Rat(0), Rat(10), Rat(1, 3)});
   EXPECT_EQ(error_of([&] { overshoot.run_until(Rat(1)); }),
             "Simulator: job overshot its completion");
+}
+
+// --- The grid's write side ---
+//
+// submit_ticks(), run_until_ticks() and refine() take values in ticks of
+// the current grid. A caller that puts its own values on the grid, the way
+// submit(Job) and run_until(Rat) do, must leave the simulation exactly as
+// the Rat entry points leave it.
+
+// Refines the grid, if `value` lies off it, to lcm(grid, value's
+// denominator): the refinement submit(Job) and run_until(Rat) make.
+void refine_for(Simulator& sim, const Rat& value) {
+  const BigIntDivMod split = BigInt::div_mod(sim.grid(), value.den());
+  if (!split.remainder.is_zero())
+    sim.refine(value.den() / BigInt::gcd(value.den(), split.remainder));
+}
+
+// `value` in ticks of a grid it lies on.
+BigInt ticks(const Simulator& sim, const Rat& value) {
+  return value.num() * (sim.grid() / value.den());
+}
+
+struct EntryReplay {
+  std::string schedule;
+  SimStats stats;
+  std::vector<Job> jobs;
+  std::vector<JobId> missed;
+  std::size_t machines_used = 0;
+  BigInt grid;
+};
+
+// Replays the instance as replay() does, at scale 1, through the Rat entry
+// points or through the tick entry points.
+EntryReplay replay_entry(const Instance& instance,
+                         const PolicyFactory& make_policy, const Rat& speed,
+                         std::size_t lag, bool via_ticks) {
+  std::unique_ptr<OnlinePolicy> policy = make_policy(Rat(1));
+  GridCheckedPolicy checked(*policy);
+  Simulator sim(checked, speed);
+  const std::vector<Job>& jobs = instance.jobs();
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const Rat& target = jobs[j < lag ? 0 : j - lag].release;
+    const Job& job = jobs[j];
+    if (!via_ticks) {
+      sim.run_until(target);
+      sim.submit(job);
+      continue;
+    }
+    refine_for(sim, target);
+    sim.run_until_ticks(ticks(sim, target));
+    const Rat wall = job.processing / speed;
+    for (const Rat* value : {&job.release, &job.deadline, &wall})
+      refine_for(sim, *value);
+    sim.submit_ticks(ticks(sim, job.release), ticks(sim, job.deadline),
+                     ticks(sim, wall));
+  }
+  sim.run_to_completion();
+  return {sim.schedule().to_string(), sim.stats(), sim.instance().jobs(),
+          sim.missed_jobs(), sim.machines_used(), sim.grid()};
+}
+
+TEST(SimulatorTicks, TickEntryPointsReplayLikeTheRatOnes) {
+  const std::vector<std::pair<std::string, PolicyFactory>> policies = {
+      {"FirstFit",
+       [](const Rat&) {
+         return std::make_unique<FitPolicy>(FitRule::kFirstFit);
+       }},
+      {"Edf", [](const Rat&) { return std::make_unique<EdfPolicy>(2); }},
+      {"Llf", [](const Rat&) {
+         return std::make_unique<LlfPolicy>(2, Rat(1, 2));
+       }}};
+  for (const auto& [name, make_policy] : policies) {
+    for (const Instance& instance : grid_instances(13)) {
+      for (const Rat& speed : {Rat(1), Rat(5, 4)}) {
+        for (std::size_t lag : {0u, 2u}) {
+          SCOPED_TRACE(name + " speed " + speed.to_string() + " lag " +
+                       std::to_string(lag));
+          const EntryReplay rat =
+              replay_entry(instance, make_policy, speed, lag, false);
+          const EntryReplay tick =
+              replay_entry(instance, make_policy, speed, lag, true);
+          EXPECT_EQ(tick.schedule, rat.schedule);
+          EXPECT_EQ(tick.stats.releases, rat.stats.releases);
+          EXPECT_EQ(tick.stats.completions, rat.stats.completions);
+          EXPECT_EQ(tick.stats.misses, rat.stats.misses);
+          EXPECT_EQ(tick.stats.dispatches, rat.stats.dispatches);
+          EXPECT_EQ(tick.stats.preemptions, rat.stats.preemptions);
+          EXPECT_EQ(tick.stats.migrations, rat.stats.migrations);
+          EXPECT_TRUE(tick.jobs == rat.jobs);
+          EXPECT_TRUE(tick.jobs == instance.jobs());
+          EXPECT_EQ(tick.missed, rat.missed);
+          EXPECT_EQ(tick.machines_used, rat.machines_used);
+          EXPECT_EQ(tick.grid, rat.grid);
+          EXPECT_NE(tick.grid, BigInt(1));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimulatorTicks, ValuesKeptAcrossARefinementReadOnTheNewGrid) {
+  for (const Rat& speed : {Rat(1), Rat(5, 4)}) {
+    SCOPED_TRACE("speed " + speed.to_string());
+    EdfPolicy policy(1);
+    Simulator sim(policy, speed);
+    // EDF on one machine: b runs first and a misses at its deadline 2.
+    const JobId a = sim.submit({Rat(0), Rat(2), Rat(7, 4)});
+    const JobId b = sim.submit({Rat(0), Rat(1), Rat(1)});
+    const JobId later = sim.submit({Rat(5, 2), Rat(6), Rat(1, 3)});
+    sim.run_until(Rat(9, 4));
+    ASSERT_TRUE(sim.missed(a));
+    ASSERT_TRUE(sim.finished(b));
+    const Rat now = sim.now();
+    const Rat left = sim.remaining(a);
+    const Rat later_left = sim.remaining(later);
+
+    // Ticks taken on one grid: a deadline and a length.
+    const BigInt grid_then = sim.grid();
+    const BigInt deadline_then = sim.now_ticks() + sim.grid() * 3;  // now + 3
+    const BigInt wall_then = sim.grid();                             // 1
+
+    for (std::int64_t factor : {1, 2, 3, 35}) {
+      sim.refine(BigInt(factor));
+      EXPECT_EQ(sim.now(), now);
+      EXPECT_EQ(sim.remaining(a), left);
+      EXPECT_EQ(sim.remaining(later), later_left);
+      EXPECT_EQ(Rat(sim.deadline_ticks(later), sim.grid()), Rat(6));
+      EXPECT_EQ(sim.remaining_ticks(b), BigInt(0));
+    }
+    EXPECT_EQ(sim.grid(), grid_then * 210);
+
+    // Read on the new grid, the kept values submit the job they meant.
+    const BigInt rescale = sim.grid() / grid_then;
+    const JobId held = sim.submit_ticks(sim.now_ticks(),
+                                        deadline_then * rescale,
+                                        wall_then * rescale);
+    EXPECT_EQ(sim.job(held).release, now);
+    EXPECT_EQ(sim.job(held).deadline, now + Rat(3));
+    EXPECT_EQ(sim.job(held).processing, speed);
+    sim.run_until_ticks(sim.now_ticks() + sim.grid());
+    EXPECT_EQ(sim.now(), now + Rat(1));
+    sim.run_to_completion();
+    EXPECT_TRUE(sim.finished(held));
+    EXPECT_TRUE(sim.finished(later));
+    EXPECT_EQ(sim.missed_jobs(), std::vector<JobId>{a});
+    EXPECT_EQ(sim.remaining(a), left);
+  }
+}
+
+TEST(SimulatorTicks, RefinementFactorMustBePositive) {
+  OnePerMachinePolicy policy;
+  Simulator sim(policy);
+  sim.submit(mk(0, 4, 2));
+  for (std::int64_t factor : {0, -2}) {
+    EXPECT_EQ(error_of([&] { sim.refine(BigInt(factor)); }),
+              "Simulator: refinement factor below 1");
+  }
+  EXPECT_EQ(sim.grid(), BigInt(1));
+}
+
+TEST(SimulatorTicks, ErrorsAreTheSameOnBothPaths) {
+  OnePerMachinePolicy rat_policy;
+  OnePerMachinePolicy tick_policy;
+  Simulator rat(rat_policy, Rat(5, 4));
+  Simulator tick(tick_policy, Rat(5, 4));
+  // On the grid 60 every value below lies on the grid: a job (r, d, p) is
+  // (60 r, 60 d, 60 p / speed).
+  tick.refine(BigInt(60));
+  const auto submit_both = [&](const Job& job) {
+    return std::pair{error_of([&] { rat.submit(job); }),
+                     error_of([&] {
+                       tick.submit_ticks(ticks(tick, job.release),
+                                         ticks(tick, job.deadline),
+                                         ticks(tick, job.processing /
+                                                         tick.speed()));
+                     })};
+  };
+  const std::string malformed = "Simulator: malformed job";
+  for (const Job& job : {Job{Rat(1, 3), Rat(2, 3), Rat(0)},
+                         Job{Rat(1, 3), Rat(2, 3), Rat(-5, 12)},
+                         Job{Rat(1, 3), Rat(2, 3), Rat(5, 6)},
+                         Job{Rat(1, 3), Rat(1, 6), Rat(5, 12)}}) {
+    const auto [from_rat, from_ticks] = submit_both(job);
+    EXPECT_EQ(from_rat, malformed);
+    EXPECT_EQ(from_ticks, malformed);
+  }
+  EXPECT_EQ(rat.job_count(), 0u);
+  EXPECT_EQ(tick.job_count(), 0u);
+  const auto fits = submit_both({Rat(1, 3), Rat(2, 3), Rat(5, 12)});
+  EXPECT_EQ(fits.first, "");
+  EXPECT_EQ(fits.second, "");
+  rat.run_until(Rat(1, 2));
+  tick.run_until_ticks(BigInt(30));
+  EXPECT_EQ(tick.now(), rat.now());
+  const auto past = submit_both({Rat(1, 3), Rat(3), Rat(1)});
+  EXPECT_EQ(past.first, "Simulator: release date in the past");
+  EXPECT_EQ(past.second, past.first);
+  const std::string backwards = "Simulator: cannot run backwards";
+  EXPECT_EQ(error_of([&] { rat.run_until(Rat(5, 12)); }), backwards);
+  EXPECT_EQ(error_of([&] { tick.run_until_ticks(BigInt(25)); }), backwards);
+  // The refusals left both runs intact.
+  EXPECT_EQ(tick.job_count(), 1u);
+  EXPECT_EQ(tick.now(), Rat(1, 2));
+  EXPECT_EQ(tick.remaining(0), rat.remaining(0));
+  rat.run_to_completion();
+  tick.run_to_completion();
+  EXPECT_EQ(tick.schedule().to_string(), rat.schedule().to_string());
+  EXPECT_TRUE(tick.instance().jobs() == rat.instance().jobs());
 }
 
 }  // namespace

@@ -293,7 +293,9 @@ TEST(Metrics, SimdDispatchInvarianceOfSemanticSnapshots) {
     return it == snap.exec_counters.end() ? 0u : it->second;
   };
   EXPECT_EQ(lanes(scalar), 0u);
-  if (util::simd::supported()) EXPECT_GT(lanes(fast), 0u);
+  if (util::simd::supported()) {
+    EXPECT_GT(lanes(fast), 0u);
+  }
 #endif
   Registry::global().reset();
 }

@@ -174,7 +174,9 @@ TEST(Oracle, WarmStartSurvivesDescendingProbes) {
   std::int64_t opt = optimal_migratory_machines(instance);
   FeasibilityOracle oracle(instance);
   EXPECT_TRUE(oracle.feasible(opt + 3));
-  if (opt > 1) EXPECT_FALSE(oracle.feasible(opt - 1));
+  if (opt > 1) {
+    EXPECT_FALSE(oracle.feasible(opt - 1));
+  }
   EXPECT_TRUE(oracle.feasible(opt));
 }
 

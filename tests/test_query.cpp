@@ -205,7 +205,9 @@ TEST_F(QueryTest, EvictionKeepsTheCacheBoundedAndExact) {
     ASSERT_LE(cache.size(), cache.capacity());
     // Whatever survives must be exact: a hit returns the one true value.
     const auto hit = cache.lookup_opt(fp);
-    if (hit) EXPECT_EQ(*hit, static_cast<std::int64_t>(i));
+    if (hit) {
+      EXPECT_EQ(*hit, static_cast<std::int64_t>(i));
+    }
   }
   EXPECT_EQ(cache.size(), cache.capacity());  // fully warm after 1000 inserts
 

@@ -361,8 +361,9 @@ TEST(RatBatch, SumMatchesSequential) {
   Rat seq;
   for (const Rat& v : big) seq += v;
   EXPECT_EQ(rat_batch::sum(big.data(), big.size(), false), seq);
-  if (have_avx2())
+  if (have_avx2()) {
     EXPECT_EQ(rat_batch::sum(big.data(), big.size(), true), seq);
+  }
 }
 
 TEST(RatBatch, LessThanMatchesOperator) {
