@@ -5,9 +5,9 @@
 // Three phases, each cross-checked for exact result equality:
 //
 //   strong-lb family : every recursion level of the Theorem 3 adversary,
-//       k = 2..levels, as level-slice sub-instances (the q01 family).
-//       Each slice's OPT is queried with the bound tier off and on, cache
-//       off in both modes so every probe is a real max-flow. Enforced:
+//       k = 2..levels, as level-slice sub-instances. Each slice's OPT is
+//       queried with the bound tier off and on, so every probe the tier
+//       does not answer is a real max-flow. Enforced:
 //       >= 70% of executed network probes eliminated with the tier on --
 //       the sandwich must pinch (lo == hi) on most slices, answering OPT
 //       with zero probes and no network build.
@@ -17,7 +17,7 @@
 //       windows, the paper's own hard instances) plus --trials random
 //       general instances of --sweep-n jobs (integer grids), so the sweep
 //       crosses both oracle modes end to end. Two back-to-back passes per
-//       mode, cache off. Enforced >= 1.5x end-to-end wall with the tier on
+//       mode. Enforced >= 1.5x end-to-end wall with the tier on
 //       at full size (recorded, not enforced, at smoke sizes -- wall
 //       ratios on tiny inputs measure the scheduler).
 //   exactness        : probe-for-probe differential against the exact
@@ -47,7 +47,6 @@
 #include "minmach/gen/generators.hpp"
 #include "minmach/obs/json.hpp"
 #include "minmach/obs/metrics.hpp"
-#include "minmach/util/opt_cache.hpp"
 #include "minmach/util/rng.hpp"
 #include "minmach/util/table.hpp"
 
@@ -62,8 +61,7 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-// Adversary-game instances, k = 2..levels: every level slice (same family
-// construction as q01, so the two benches stress the same shapes) plus the
+// Adversary-game instances, k = 2..levels: every level slice plus the
 // complete game per k (the shrink sweep's rational-mode bases).
 struct AdversaryFamilies {
   std::vector<Instance> slices;
@@ -91,8 +89,7 @@ struct TierMeasurement {
 };
 
 // Queries every instance once, sequentially, with the bound tier gated as
-// requested (cache stays off: every avoided probe here is the tier's own
-// doing, not a fingerprint hit).
+// requested.
 TierMeasurement run_tier(const std::vector<Instance>& family, bool bounds_on) {
   set_bounds_tier_enabled(bounds_on);
   obs::Registry& registry = obs::Registry::global();
@@ -157,11 +154,6 @@ int main(int argc, char** argv) try {
   ctx.config("sweep-n", static_cast<std::int64_t>(sweep_n));
   ctx.config("trials", static_cast<std::int64_t>(trials));
   ctx.config("seed", static_cast<std::int64_t>(seed));
-
-  // Cache off for the whole run: the tier must earn its probe eliminations
-  // itself, not through fingerprint hits.
-  util::OptCache::global().configure(
-      false, static_cast<std::size_t>(bench::kDefaultCacheCapacity));
 
   // --- phase A: strong-lb family, probes eliminated ----------------------
   AdversaryFamilies adversary = adversary_families(levels);

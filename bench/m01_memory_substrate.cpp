@@ -311,7 +311,7 @@ int main(int argc, char** argv) try {
   // the costs -- and the makespans -- are a property of the policy, the
   // workload and the --simd kernel (the bitmap BFS visits fewer edges), the
   // same on every run and in obs-off builds. Every task must probe, as at
-  // the defaults: with --bounds on or --cache on a task can cost 0.
+  // the defaults: with --bounds on a task can cost 0.
   obs::Counter& edge_visits =
       obs::Registry::global().counter("flow.edge_visits");
   std::vector<std::uint64_t> task_cost(task_count);

@@ -15,7 +15,7 @@
 //     OPT per instance under --simd scalar vs avx2 dispatch, OPT and the
 //     certified load lower bound required identical.
 //
-// Acceptance (enforced in-bench like m01/q01): at the largest unit-wide row
+// Acceptance (enforced in-bench like m01/b01): at the largest unit-wide row
 // with n >= 2000, avx2 dispatch must be >= 2x faster by wall clock, and the
 // sweep microkernel >= 2x over the generic sweep. Rows land in --out
 // (BENCH_simd.json, wall times included so NOT byte-deterministic). On a

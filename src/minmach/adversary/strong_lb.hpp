@@ -59,8 +59,8 @@ struct StrongLbParams {
 // job range it released: the jobs of I_k, including every nested level.
 // Recorded in post-order (children before their parent; the last slice is
 // the whole instance). Each slice is itself a complete strong-lb
-// sub-instance -- an affine copy of the other same-level builds -- which is
-// what the canonical OPT cache collides on (bench/q01).
+// sub-instance -- an affine copy of the other same-level builds -- and
+// b01_bound_tier queries OPT on every slice (its strong-lb family).
 struct StrongLbLevelSlice {
   int level = 0;           // the k of this build call (2 = base gadget)
   std::size_t job_begin = 0;  // [job_begin, job_end) in release order

@@ -32,7 +32,6 @@ struct BoundCertificate {
   std::int64_t load_lb = 0;        // max(density, sweep single-interval bound)
   std::int64_t pack_machines = 0;  // machine count of the packing witness
   PackWitness pack = PackWitness::kSingleton;
-  bool cache_seeded = false;  // an OPT-cache bounds entry narrowed the bracket
 };
 
 // lo <= OPT <= hi with both sides certified: lo by the load argument, hi by

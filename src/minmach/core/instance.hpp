@@ -14,24 +14,6 @@
 
 namespace minmach {
 
-// Borrowed SoA view of an integer-grid instance: parallel release /
-// deadline / processing columns of `count` jobs, int64 on a common time
-// grid. This is the zero-copy currency between the mmap'd corpus
-// (store/corpus.hpp) and the oracle's integer fast path: the columns may be
-// an affine image of the original rational instance (scaled by the
-// denominator LCM), which is safe because OPT, feasibility, and the
-// canonical fingerprint are all invariant under t -> a*t (DESIGN.md §11).
-// The view does not own the columns; the backing storage (a mapping, a
-// vector) must outlive it.
-struct JobColumns {
-  const std::int64_t* release = nullptr;
-  const std::int64_t* deadline = nullptr;
-  const std::int64_t* processing = nullptr;
-  std::size_t count = 0;
-
-  [[nodiscard]] bool empty() const { return count == 0; }
-};
-
 class Instance {
  public:
   Instance() = default;

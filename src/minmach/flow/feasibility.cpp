@@ -9,7 +9,6 @@
 
 #include "minmach/algos/pack_ub.hpp"
 #include "minmach/core/bounds.hpp"
-#include "minmach/core/canonical.hpp"
 #include "minmach/core/grid.hpp"
 #include "minmach/core/load_sweep.hpp"
 #include "minmach/core/load_sweep_simd.hpp"
@@ -19,7 +18,6 @@
 #include "minmach/obs/metrics.hpp"
 #include "minmach/obs/profile.hpp"
 #include "minmach/obs/trace.hpp"
-#include "minmach/util/opt_cache.hpp"
 
 namespace minmach {
 
@@ -883,25 +881,13 @@ struct FeasibilityOracle::Impl {
   std::int64_t min_feasible = 0;
   std::int64_t max_infeasible = 0;
 
-  // Affine-canonical fingerprint for the global OPT cache; computed at
-  // construction only when the cache is enabled (has_fp gates every cache
-  // touch, so a disabled cache costs nothing).
-  bool has_fp = false;
-  util::Digest128 fp;
   std::uint64_t probes_executed = 0;
-
-  // With the OPT cache enabled the Instance constructor only fingerprints
-  // and keeps a copy of the jobs: a cached OPT answers optimal_machines()
-  // and completes the verdict memo without the normalized arrays, so
-  // normalization waits for its first real use (ensure_normalized).
-  Instance deferred;
-  bool deferred_pending = false;
 
   // Probe network (exactly one is built, per integer_mode). The constructor
   // only normalizes the instance into the net's arrays; the Horn network
   // itself is built lazily on the first real probe (ensure_network), so an
-  // OPT answered by the bound sandwich or the OPT cache never pays for it
-  // -- the build is the single largest oracle cost (EXPERIMENTS.md P1).
+  // OPT answered by the bound sandwich never pays for it -- the build is
+  // the single largest oracle cost (EXPERIMENTS.md P1).
   bool network_built = false;
   OracleNet<__int128> inet;
   OracleNet<Rat> rnet;
@@ -942,13 +928,8 @@ struct FeasibilityOracle::Impl {
   std::int64_t lower_bound();
   void publish_flow_stats();
   void ensure_network();
-  // The public Instance constructor's body (validity, fingerprint, then
-  // normalization now or deferred), shared with the JobColumns
-  // constructor's fallback path. Assumes a freshly reset Impl.
-  void init_from_instance(const Instance& instance);
   // Grid conversion, density bound and the net's arrays.
   void normalize(const Instance& instance);
-  void ensure_normalized();
   JobId insert(const Job& job);
   void remove(JobId id);
   void splice(std::size_t slot, bool insert);
@@ -963,7 +944,6 @@ struct FeasibilityOracle::Impl {
     lb_dirty = true;
     sandwich_done = false;
     sandwich_cache = BoundSandwich{};
-    has_fp = false;  // the fingerprint named the pre-edit instance
   }
   const BoundSandwich& sandwich();
   [[nodiscard]] Instance materialize() const;
@@ -979,11 +959,7 @@ struct FeasibilityOracle::Impl {
     lb_cache.reset();
     min_feasible = 0;
     max_infeasible = 0;
-    has_fp = false;
-    fp = util::Digest128{};
     probes_executed = 0;
-    deferred.clear();
-    deferred_pending = false;
     network_built = false;
     sandwich_done = false;
     sandwich_cache = BoundSandwich{};
@@ -1032,22 +1008,10 @@ void FeasibilityOracle::ImplDeleter::operator()(Impl* impl) const noexcept {
 
 FeasibilityOracle::FeasibilityOracle(const Instance& instance)
     : impl_(acquire_impl()) {
-  // Validity, fingerprint and normalization (grid conversion, density
-  // bound) -- the last deferred while the OPT cache is on; the network
-  // build has its own span inside ensure_network().
+  // Validity and normalization (grid conversion, density bound); the
+  // network build has its own span inside ensure_network().
   obs::ProfileSpan span("oracle_norm");
-  impl_->init_from_instance(instance);
-}
-
-void FeasibilityOracle::Impl::ensure_normalized() {
-  if (!deferred_pending) return;
-  deferred_pending = false;
-  obs::ProfileSpan span("oracle_norm");
-  normalize(deferred);
-}
-
-void FeasibilityOracle::Impl::init_from_instance(const Instance& instance) {
-  Impl& im = *this;
+  Impl& im = *impl_;
   im.empty = instance.empty();
   if (im.empty) return;
   im.well_formed = instance.well_formed();
@@ -1056,19 +1020,6 @@ void FeasibilityOracle::Impl::init_from_instance(const Instance& instance) {
   // Each job alone on a machine is feasible (p_j <= d_j - r_j), so n
   // machines always suffice.
   im.min_feasible = im.job_count;
-
-  if (util::OptCache::global().enabled()) {
-    {
-      obs::Registry& reg = obs::Registry::global();
-      obs::ScopedTimer timer(reg.timing("cache.fingerprint_ns"));
-      im.fp = canonical_fingerprint(instance);
-      im.has_fp = true;
-      reg.counter("cache.fingerprints").add();
-    }
-    im.deferred = instance;
-    im.deferred_pending = true;
-    return;
-  }
   im.normalize(instance);
 }
 
@@ -1133,85 +1084,12 @@ void FeasibilityOracle::Impl::normalize(const Instance& instance) {
     net.points = std::move(points);
   }
   // The Horn network itself is NOT built here: ensure_network() builds it
-  // on the first probe, so an answer served by the bound sandwich or the
-  // OPT cache skips the build entirely.
-}
-
-FeasibilityOracle::FeasibilityOracle(const JobColumns& columns)
-    : impl_(acquire_impl()) {
-  obs::ProfileSpan span("oracle_norm");
-  Impl& im = *impl_;
-  im.empty = columns.count == 0;
-  if (im.empty) return;
-  const std::size_t n = columns.count;
-
-  // Zero-copy fast path: int64 columns (typically straight out of an
-  // mmap'd corpus, store/corpus.hpp) ARE the integer grid -- no Instance,
-  // no Rats, no lcm. The columns may be an affine image of the original
-  // rational instance; verdicts and OPT are invariant under that map, so
-  // grid_scale stays 1 and later insert_job() calls must supply jobs in the
-  // SAME (scaled) coordinates. Values outside the 62-bit guard or a total
-  // work overflowing int64 fall back to the materialized-Instance path,
-  // which reproduces the Instance constructor exactly.
-  constexpr std::int64_t kMaxAbs = (std::int64_t{1} << 62) - 1;
-  bool small = true;
-  bool well = true;
-  __int128 total = 0;
-  for (std::size_t j = 0; j < n && small; ++j) {
-    const std::int64_t r = columns.release[j];
-    const std::int64_t d = columns.deadline[j];
-    const std::int64_t p = columns.processing[j];
-    small = r >= -kMaxAbs && r <= kMaxAbs && d >= -kMaxAbs && d <= kMaxAbs &&
-            p >= -kMaxAbs && p <= kMaxAbs;
-    if (!small) break;
-    well = well && p > 0 && p <= d - r;
-    total += p;
-  }
-  if (!small || total > INT64_MAX) {
-    Instance fallback;
-    for (std::size_t j = 0; j < n; ++j)
-      fallback.add_job({Rat(columns.release[j]), Rat(columns.deadline[j]),
-                        Rat(columns.processing[j])});
-    im.init_from_instance(fallback);
-    return;
-  }
-
-  im.well_formed = well;
-  if (!im.well_formed) return;
-  im.job_count = static_cast<std::int64_t>(n);
-  im.min_feasible = im.job_count;
-
-  if (util::OptCache::global().enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    obs::ScopedTimer timer(reg.timing("cache.fingerprint_ns"));
-    im.fp = canonical_fingerprint(columns);
-    im.has_fp = true;
-    reg.counter("cache.fingerprints").add();
-  }
-
-  im.integer_mode = true;
-  OracleNet<__int128>& net = im.inet;
-  net.release.assign(columns.release, columns.release + n);
-  net.deadline.assign(columns.deadline, columns.deadline + n);
-  net.processing.assign(columns.processing, columns.processing + n);
-  std::vector<std::int64_t> ipoints;
-  ipoints.reserve(2 * n);
-  ipoints.insert(ipoints.end(), columns.release, columns.release + n);
-  ipoints.insert(ipoints.end(), columns.deadline, columns.deadline + n);
-  std::sort(ipoints.begin(), ipoints.end());
-  ipoints.erase(std::unique(ipoints.begin(), ipoints.end()), ipoints.end());
-  const std::int64_t ispan = ipoints.back() - ipoints.front();
-  if (ispan > 0) {
-    im.density_lb = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>((total + ispan - 1) / ispan));
-  }
-  net.points.assign(ipoints.begin(), ipoints.end());
-  obs::Registry::global().counter("store.corpus_zero_copy").add();
+  // on the first probe, so an answer served by the bound sandwich skips the
+  // build entirely.
 }
 
 void FeasibilityOracle::Impl::ensure_network() {
   if (network_built || empty || !well_formed) return;
-  ensure_normalized();
   network_built = true;
   obs::ProfileSpan span("oracle_build");
   BuildCounters counters;
@@ -1309,7 +1187,6 @@ const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
   sandwich_done = true;
   BoundSandwich& s = sandwich_cache;
   if (empty || !well_formed) return s;  // degenerate {0, 0}
-  ensure_normalized();
   obs::ScopedLatency latency("hist.bound_ns");
   obs::Registry& registry = obs::Registry::global();
 
@@ -1350,18 +1227,6 @@ const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
   lo = std::max(lo, max_infeasible + 1);
   std::int64_t hi = min_feasible;
 
-  // A prior sandwich of the same canonical instance narrows the bracket
-  // before any packing work; every cached bracket is certified, so the
-  // intersection still contains OPT.
-  if (has_fp) {
-    if (auto cached = util::OptCache::global().lookup_bounds(fp)) {
-      if (cached->first > lo || cached->second < hi)
-        s.certificate.cache_seeded = true;
-      lo = std::max(lo, cached->first);
-      hi = std::min(hi, cached->second);
-    }
-  }
-
   // Upper side: constructive packing witness, opened at lo so a success
   // there pinches the sandwich outright.
   if (lo < hi) {
@@ -1384,14 +1249,12 @@ const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
   registry.counter("bounds.computed").add();
   if (s.pinched()) registry.counter("bounds.pinched").add();
   registry.histogram("bounds.bracket_width").observe(hi - lo);
-  if (has_fp) util::OptCache::global().insert_bounds(fp, lo, hi);
   if (obs::trace_enabled()) {
     obs::trace_event("oracle", "sandwich",
                      {{"lo", lo},
                       {"hi", hi},
                       {"load_lb", s.certificate.load_lb},
-                      {"pack_machines", s.certificate.pack_machines},
-                      {"cache_seeded", s.certificate.cache_seeded}});
+                      {"pack_machines", s.certificate.pack_machines}});
   }
   return s;
 }
@@ -1436,7 +1299,6 @@ bool FeasibilityOracle::Impl::probe(std::int64_t machines) {
 
 std::int64_t FeasibilityOracle::Impl::lower_bound() {
   if (lb_cache) return *lb_cache;
-  ensure_normalized();
   refresh_dyn_bounds();
   std::int64_t lb = empty ? 0 : density_lb;
   if (!empty && well_formed) {
@@ -1606,7 +1468,6 @@ JobId FeasibilityOracle::Impl::insert(const Job& job) {
         "insert_job: oracle holds a malformed instance");
   if (!job.well_formed())
     throw std::invalid_argument("insert_job: malformed job");
-  ensure_normalized();
   obs::ProfileSpan span("dyn_insert");
   obs::Registry::global().counter("dyn.inserts").add();
 
@@ -1696,7 +1557,6 @@ void FeasibilityOracle::Impl::remove(JobId id) {
                              : static_cast<std::int64_t>(id) < job_count;
   if (!live)
     throw std::invalid_argument("remove_job: unknown or retired job id");
-  ensure_normalized();
   obs::ProfileSpan span("dyn_remove");
   obs::Registry::global().counter("dyn.removes").add();
   enter_dyn_mode();
@@ -1780,23 +1640,11 @@ bool FeasibilityOracle::feasible(std::int64_t machines) {
       return false;
     }
   }
-  if (im.has_fp) {
-    if (std::optional<bool> hit =
-            util::OptCache::global().lookup_feasible(im.fp, machines)) {
-      if (*hit)
-        im.min_feasible = std::min(im.min_feasible, machines);
-      else
-        im.max_infeasible = std::max(im.max_infeasible, machines);
-      return *hit;
-    }
-  }
   const bool verdict = im.probe(machines);
   if (verdict)
     im.min_feasible = machines;
   else
     im.max_infeasible = machines;
-  if (im.has_fp)
-    util::OptCache::global().insert_feasible(im.fp, machines, verdict);
   return verdict;
 }
 
@@ -1837,16 +1685,6 @@ std::int64_t FeasibilityOracle::optimal_machines() {
   if (!im.well_formed)
     throw std::invalid_argument("FeasibilityOracle: malformed instance");
   obs::ProfileSpan opt_span("opt_search");
-  if (im.has_fp) {
-    if (std::optional<std::int64_t> hit =
-            util::OptCache::global().lookup_opt(im.fp)) {
-      im.min_feasible = std::min(im.min_feasible, *hit);
-      im.max_infeasible = std::max(im.max_infeasible, *hit - 1);
-      if (obs::trace_enabled())
-        obs::trace_event("oracle", "verdict", {{"opt", *hit}, {"cached", true}});
-      return *hit;
-    }
-  }
   // After an edit the memo shifts leave a bracket of at most two candidate
   // values (insert: +1 on the ceiling only; remove: -1 on the floor only),
   // so neither the sweep bound nor the sandwich can rule out a probe the
@@ -1883,7 +1721,6 @@ std::int64_t FeasibilityOracle::optimal_machines() {
         im.max_infeasible + (im.min_feasible - im.max_infeasible) / 2;
     (void)feasible(mid);
   }
-  if (im.has_fp) util::OptCache::global().insert_opt(im.fp, im.min_feasible);
   if (obs::trace_enabled()) {
     obs::trace_event("oracle", "verdict", {{"opt", im.min_feasible}});
   }

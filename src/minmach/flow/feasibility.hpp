@@ -35,26 +35,9 @@ struct FlowAllocation {
 // plus roughly one max-flow in total. Verdicts are memoized and feasible(m)
 // is monotone in m. There is one configuration; tests check it against an
 // independent dense Horn network (tests/reference_horn.hpp).
-//
-// When the global OPT cache is enabled (util::OptCache::global(), see
-// DESIGN.md §11), the constructor fingerprints the instance's affine
-// canonical form and feasible()/optimal_machines() consult the cache before
-// probing, publishing fresh verdicts back. Verdicts are exact properties of
-// the instance, so results are byte-identical with the cache on or off.
 class FeasibilityOracle {
  public:
   explicit FeasibilityOracle(const Instance& instance);
-  // Zero-copy construction from int64 SoA columns (typically an mmap'd
-  // corpus InstanceView, store/corpus.hpp): the columns are adopted as the
-  // integer grid directly -- no Instance, no rational normalization. The
-  // columns may be an affine image (t -> scale * t) of a rational
-  // instance; feasibility and OPT are invariant under that map, so answers
-  // equal the original's, but jobs passed to insert_job() later must be in
-  // the same scaled coordinates. The columns are copied into the oracle's
-  // arrays during construction and need not outlive the call. Values
-  // outside the integer fast path's 62-bit guard fall back to the exact
-  // path, reproducing the Instance constructor bit for bit.
-  explicit FeasibilityOracle(const JobColumns& columns);
   ~FeasibilityOracle();
   FeasibilityOracle(FeasibilityOracle&&) noexcept;
   FeasibilityOracle& operator=(FeasibilityOracle&&) noexcept;
@@ -108,9 +91,9 @@ class FeasibilityOracle {
   // {0, 0}.
   [[nodiscard]] BoundSandwich bound_sandwich();
 
-  // Network probes this oracle actually executed (memo hits, OPT-cache
-  // hits, and bound-tier short-circuits excluded). Exposed for the
-  // cache/bounds A/B benches and the probe-parity tests.
+  // Network probes this oracle actually executed (memo hits and bound-tier
+  // short-circuits excluded). Exposed for the bound-tier A/B bench (b01)
+  // and the probe-parity tests.
   [[nodiscard]] std::uint64_t probes_executed() const;
 
  private:

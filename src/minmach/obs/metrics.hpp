@@ -27,13 +27,14 @@
 //
 // Snapshots also separate EXECUTION-CLASS metrics (see is_exec_metric):
 // counters that describe how the work was executed -- oracle probes, flow
-// passes, cache hits, arithmetic/memory tallies --
-// rather than what was computed. With the global OPT cache (DESIGN.md §11)
-// a hit skips a probe and all the arithmetic inside it, so these totals
-// legitimately depend on cache state and probe interleaving; they live in
+// passes, arithmetic/memory tallies, SIMD lane usage -- rather than what
+// was computed. A bound-tier sandwich (DESIGN.md §14) answers a probe
+// without the max flow and the arithmetic inside it, and the AVX2 bitmap
+// BFS visits fewer edges than the scalar one (§12), so these totals
+// legitimately depend on the --bounds and --simd modes; they live in
 // `Snapshot::exec_counters` / `exec_histograms` and are excluded from
-// to_json() by default, keeping run reports byte-identical with the cache
-// on or off. Semantic metrics (adversary.*, sim.*, ...) remain in the
+// to_json() by default, keeping run reports byte-identical across those
+// modes. Semantic metrics (adversary.*, sim.*, ...) remain in the
 // deterministic sections and are still thread-count-invariant.
 #pragma once
 
@@ -217,13 +218,13 @@ class ScopedTimer {
 // ---- snapshots ---------------------------------------------------------
 
 // True for metrics describing HOW work was executed (probe counts, flow
-// passes, cache traffic, arithmetic and memory tallies, SIMD lane usage,
-// profiler spans, latency histograms, bound-tier, dynamic-edit and store
-// tallies): name prefixes oracle. / flow. / cache. / bigint. / rat. /
-// mem. / simd. / profile. / hist. / bounds. / dyn. / store.. Snapshots
-// segregate these (see file comment)
-// because the OPT cache makes them dependent on cache state and
-// interleaving.
+// passes, arithmetic and memory tallies, SIMD lane usage, profiler spans,
+// latency histograms, bound-tier and dynamic-edit tallies): name prefixes
+// oracle. / flow. / cache. / bigint. / rat. / mem. / simd. / profile. /
+// hist. / bounds. / dyn. / store.. (cache. and store. name no tallies
+// since the OPT cache and the persistence tier were removed; the rule
+// keeps them execution-class.) Snapshots segregate these (see file
+// comment) because the SIMD mode and the bound tier move them.
 // Classification is by name, not by a flag at registration, so a counter
 // read via Registry::counter("mem.x") in a bench lands in the same class
 // as one drained from hot tallies.
@@ -235,8 +236,8 @@ struct Snapshot {
   std::map<std::string, std::int64_t> gauge_maxes; // high-water marks
   std::map<std::string, HistogramData> histograms; // deterministic
   std::map<std::string, HistogramData> timings;    // wall clock, excluded by default
-  // Execution-class metrics (is_exec_metric): exact but cache/interleaving
-  // dependent, excluded from to_json() by default.
+  // Execution-class metrics (is_exec_metric): exact but mode dependent,
+  // excluded from to_json() by default.
   std::map<std::string, std::uint64_t> exec_counters;
   std::map<std::string, HistogramData> exec_histograms;
 

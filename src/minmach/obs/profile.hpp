@@ -1,5 +1,5 @@
 // Hierarchical span profiler (DESIGN.md §13). Answers "where does OPT wall
-// time go" across the pipeline phases -- canonicalize -> cache lookup ->
+// time go" across the pipeline phases -- oracle normalize -> bound tier ->
 // oracle build -> sweep bound -> probe -> Dinic BFS/DFS --
 // with an overhead budget of one relaxed atomic load per would-be span when
 // profiling is off (the default), so instrumented hot paths stay within the

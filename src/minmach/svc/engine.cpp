@@ -5,51 +5,12 @@
 
 #include "minmach/obs/histogram.hpp"
 #include "minmach/obs/json.hpp"
-#include "minmach/obs/metrics.hpp"
-#include "minmach/store/corpus.hpp"
 #include "minmach/util/parallel.hpp"
 
 namespace minmach::svc {
 
 SessionEngine::SessionEngine(const EngineOptions& options)
     : options_(options) {}
-
-std::uint64_t SessionEngine::seed_from_corpus(const store::Corpus& corpus) {
-  const std::uint64_t first = sessions_.size();
-  std::vector<Event> batch;
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    const store::InstanceView view = corpus.view(i);
-    const std::uint64_t sid = first + i;
-    if (view.int64_grid()) {
-      // Scaled integer coordinates straight off the mapping: the session's
-      // oracle stays on the all-integer fast path and, by affine
-      // invariance, answers the original instance's OPT.
-      const std::int64_t* r = view.release();
-      const std::int64_t* d = view.deadline();
-      const std::int64_t* p = view.processing();
-      for (std::size_t j = 0; j < view.size(); ++j)
-        batch.push_back({Event::Kind::kRelease, sid,
-                         static_cast<std::int64_t>(j),
-                         Job{Rat(r[j]), Rat(d[j]), Rat(p[j])}});
-      obs::Registry::global().counter("store.corpus_zero_copy").add();
-    } else {
-      // One materialize per instance: kBigText views parse their whole text
-      // blob per job() call, so per-job reconstruction would be quadratic.
-      const Instance inst = view.materialize();
-      for (std::size_t j = 0; j < view.size(); ++j)
-        batch.push_back({Event::Kind::kRelease, sid,
-                         static_cast<std::int64_t>(j), inst.jobs()[j]});
-    }
-  }
-  // Materialize the session slots even when the corpus is empty of jobs, so
-  // ids from `first` are valid either way.
-  if (sessions_.size() < first + corpus.size()) {
-    sessions_.resize(first + corpus.size());
-    answers_.resize(first + corpus.size());
-  }
-  ingest(batch);
-  return first;
-}
 
 void SessionEngine::ingest(const std::vector<Event>& batch) {
   if (batch.empty()) return;

@@ -14,10 +14,6 @@
 
 #include "minmach/svc/session.hpp"
 
-namespace minmach::store {
-class Corpus;
-}  // namespace minmach::store
-
 namespace minmach::svc {
 
 // One event in a session stream.
@@ -37,17 +33,6 @@ struct EngineOptions {
 class SessionEngine {
  public:
   explicit SessionEngine(const EngineOptions& options = {});
-
-  // Seeds one fresh session per corpus instance (store/corpus.hpp),
-  // releasing every job with its column index as the external id; returns
-  // the id of the first seeded session (ids are contiguous from there).
-  // int64-grid instances seed straight from the mapped columns in SCALED
-  // coordinates -- OPT is affine-invariant, so query answers equal the
-  // original instance's, and no Instance is materialized (tallied as
-  // store.corpus_zero_copy); rational instances seed exact reconstructed
-  // jobs. Ingestion runs through ingest(), so determinism and latency
-  // accounting are the batch path's.
-  std::uint64_t seed_from_corpus(const store::Corpus& corpus);
 
   // Applies a batch of events. Sessions are created on first touch (ids
   // should be dense from 0 -- the engine's tables are indexed by id). One

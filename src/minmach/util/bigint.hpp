@@ -40,10 +40,6 @@ namespace minmach {
 
 struct BigIntDivMod;
 
-namespace util {
-class Hasher128;
-}  // namespace util
-
 class BigInt {
  public:
   BigInt() = default;
@@ -262,10 +258,6 @@ class BigInt {
   BigInt& div_slow(const BigInt& rhs);
   BigInt& mod_slow(const BigInt& rhs);
   static int compare_slow(const BigInt& lhs, const BigInt& rhs);
-
-  // Representation-independent value hashing (util/hash.hpp); walks the
-  // magnitude through mag_view so both storage tiers hash identically.
-  friend void hash_append(util::Hasher128& hasher, const BigInt& value);
 };
 
 struct BigIntDivMod {

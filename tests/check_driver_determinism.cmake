@@ -4,10 +4,10 @@
 # The --report JSON is held to the same standard: metrics aggregation is
 # commutative (sums, min/max, bucket bins) and hot tallies are drained by
 # every worker, so the snapshot must not depend on the thread count.
-# Two further legs repeat the run with --cache=on (the affine-canonical OPT
-# cache) at both thread counts: the cache is exact and execution-class
-# metrics are segregated out of reports, so stdout and report bytes must
-# match the cache-off baseline too.
+# Two further legs repeat the run with --simd=scalar at both thread counts:
+# the portable kernels give bit-identical results and execution-class
+# metrics (the SIMD lane tallies among them) are segregated out of reports,
+# so stdout and report bytes must match the auto-mode baseline too.
 # Invoked by ctest with -DDRIVER=<path-to-binary> [-DEXTRA_ARGS=...].
 if(NOT DEFINED DRIVER)
   message(FATAL_ERROR "DRIVER not set")
@@ -53,33 +53,33 @@ if(NOT json_single STREQUAL json_parallel)
     "--- threads=4 ---\n${json_parallel}")
 endif()
 
-foreach(cache_threads 1 4)
-  set(report_cache
-    ${CMAKE_CURRENT_BINARY_DIR}/${driver_name}_report_cache_t${cache_threads}.json)
+foreach(scalar_threads 1 4)
+  set(report_scalar
+    ${CMAKE_CURRENT_BINARY_DIR}/${driver_name}_report_scalar_t${scalar_threads}.json)
   execute_process(
-    COMMAND ${DRIVER} ${args} --threads=${cache_threads} --cache=on
-            --report=${report_cache}
-    OUTPUT_VARIABLE out_cache
-    RESULT_VARIABLE rc_cache)
-  if(NOT rc_cache EQUAL 0)
+    COMMAND ${DRIVER} ${args} --threads=${scalar_threads} --simd=scalar
+            --report=${report_scalar}
+    OUTPUT_VARIABLE out_scalar
+    RESULT_VARIABLE rc_scalar)
+  if(NOT rc_scalar EQUAL 0)
     message(FATAL_ERROR
-      "${DRIVER} --cache=on --threads=${cache_threads} exited with ${rc_cache}")
+      "${DRIVER} --simd=scalar --threads=${scalar_threads} exited with ${rc_scalar}")
   endif()
-  if(NOT out_cache STREQUAL out_single)
+  if(NOT out_scalar STREQUAL out_single)
     message(FATAL_ERROR
-      "driver output differs with --cache=on at --threads=${cache_threads}:\n"
-      "--- cache=off threads=1 ---\n${out_single}\n"
-      "--- cache=on threads=${cache_threads} ---\n${out_cache}")
+      "driver output differs with --simd=scalar at --threads=${scalar_threads}:\n"
+      "--- simd=auto threads=1 ---\n${out_single}\n"
+      "--- simd=scalar threads=${scalar_threads} ---\n${out_scalar}")
   endif()
-  file(READ ${report_cache} json_cache)
-  if(NOT json_cache STREQUAL json_single)
+  file(READ ${report_scalar} json_scalar)
+  if(NOT json_scalar STREQUAL json_single)
     message(FATAL_ERROR
-      "--report JSON differs with --cache=on at --threads=${cache_threads}:\n"
-      "--- cache=off threads=1 ---\n${json_single}\n"
-      "--- cache=on threads=${cache_threads} ---\n${json_cache}")
+      "--report JSON differs with --simd=scalar at --threads=${scalar_threads}:\n"
+      "--- simd=auto threads=1 ---\n${json_single}\n"
+      "--- simd=scalar threads=${scalar_threads} ---\n${json_scalar}")
   endif()
 endforeach()
 
 message(STATUS
   "driver output and report JSON byte-identical at 1 and 4 threads, "
-  "cache on and off")
+  "simd auto and scalar")

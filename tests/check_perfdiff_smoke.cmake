@@ -1,15 +1,16 @@
 # End-to-end smoke test of the perfdiff regression sentinel (DESIGN.md
 # §13): fixture comparisons exercise every exit path (0 = clean, 1 =
-# regression, 2 = unstamped artifact), then a real double-run of the q01
+# regression, 2 = unstamped artifact), then a real double-run of the b01
 # driver at smoke size must diff clean under the CI classes
 # (--classes=count,identity -- deterministic per revision, so two runs of
-# one binary are byte-comparable). q01 is the live driver because its
-# internal checks are count-based and hold in every preset; o01's
-# wall-clock speedup bar is machine- and dispatch-dependent at smoke
+# one binary are byte-comparable). b01 is the live driver because its
+# enforced checks are count-based (probes eliminated, exact verdicts) and
+# hold in every preset -- its wall-clock bar engages only at full size;
+# o01's wall-clock speedup bar is machine- and dispatch-dependent at smoke
 # sizes, so it runs only in CI's default-preset sentinel job.
-# Invoked by ctest with -DPERFDIFF=<perfdiff> -DQ01=<q01-binary>
+# Invoked by ctest with -DPERFDIFF=<perfdiff> -DB01=<b01-binary>
 # -DBASELINE/-DDEGRADED/-DUNSTAMPED=<fixture paths>.
-foreach(var PERFDIFF Q01 BASELINE DEGRADED UNSTAMPED)
+foreach(var PERFDIFF B01 BASELINE DEGRADED UNSTAMPED)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "${var} not set")
   endif()
@@ -70,18 +71,17 @@ if(NOT rc EQUAL 2)
   message(FATAL_ERROR "missing --candidate should exit 2, got ${rc}")
 endif()
 
-# Real sentinel rehearsal: the same q01 binary run twice at smoke size must
+# Real sentinel rehearsal: the same b01 binary run twice at smoke size must
 # compare clean under the CI classes.
 set(bench_a ${CMAKE_CURRENT_BINARY_DIR}/perfdiff_smoke_a.json)
 set(bench_b ${CMAKE_CURRENT_BINARY_DIR}/perfdiff_smoke_b.json)
 foreach(bench ${bench_a} ${bench_b})
   execute_process(
-    COMMAND ${Q01} --levels=4 --repeats=2 --sweep-n=12 --trials=2
-            --out=${bench}
+    COMMAND ${B01} --levels=4 --sweep-n=12 --trials=2 --out=${bench}
     OUTPUT_VARIABLE out ERROR_VARIABLE out
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${Q01} exited with ${rc}:\n${out}")
+    message(FATAL_ERROR "${B01} exited with ${rc}:\n${out}")
   endif()
 endforeach()
 execute_process(
@@ -91,6 +91,6 @@ execute_process(
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
-          "q01 double-run should diff clean under count,identity (rc=${rc}):\n${out}")
+          "b01 double-run should diff clean under count,identity (rc=${rc}):\n${out}")
 endif()
 message(STATUS "perfdiff sentinel validated")

@@ -1,9 +1,9 @@
 // Differential tests for the fully-dynamic FeasibilityOracle (DESIGN.md
 // section 15) and the svc session layer: every edit sequence, over every
 // instance family, must agree with an independent dense Horn network on the
-// live job set (reference_horn.hpp) -- OPT and verdicts -- and (cache off,
-// tier off) it must never execute more probes per query than a
-// from-scratch batch oracle.
+// live job set (reference_horn.hpp) -- OPT and verdicts -- and (tier off)
+// it must never execute more probes per query than a from-scratch batch
+// oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -239,11 +239,10 @@ TEST(DynamicOracle, EditErrors) {
 }
 
 TEST(DynamicOracle, ProbeParityWithBatch) {
-  // Audit: with the cache off and the bound tier off, the dynamic oracle's
-  // memo shifts keep the post-edit bracket so tight that a query never
-  // needs MORE executed probes than a cold batch oracle answering the same
-  // question. (Global OptCache is off unless configured; force the tier
-  // gate off for the audit and restore it after.)
+  // Audit: with the bound tier off, the dynamic oracle's memo shifts keep
+  // the post-edit bracket so tight that a query never needs MORE executed
+  // probes than a cold batch oracle answering the same question. (Force
+  // the tier gate off for the audit and restore it after.)
   set_bounds_tier_enabled(false);
   Rng rng(83);
   const Instance base = gen_general(rng, {10, 60, 16, 2});

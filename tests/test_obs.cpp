@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,8 +22,6 @@
 #include "minmach/obs/trace.hpp"
 #include "minmach/svc/engine.hpp"
 #include "minmach/util/bigint.hpp"
-#include "minmach/util/hash.hpp"
-#include "minmach/util/opt_cache.hpp"
 #include "minmach/util/rational.hpp"
 #include "minmach/util/rng.hpp"
 #include "minmach/util/simd.hpp"
@@ -208,12 +205,12 @@ TEST(Metrics, ParallelMergeIsThreadCountInvariant) {
 }
 
 // Execution-class metrics (oracle.*, flow.*, cache.*, bigint.*, rat.*,
-// mem.*, simd.*) measure HOW an answer was computed -- a
-// warm cache skips probes and all the arithmetic inside them, a SIMD
+// mem.*, simd.*) measure HOW an answer was computed -- a pinched bound
+// sandwich skips probes and all the arithmetic inside them, a SIMD
 // kernel counts lanes the scalar path never sees -- so snapshots segregate
 // them from the semantic counters and to_json() omits them by default
-// (that is what keeps --report bytes identical with the cache on or off
-// and under any --simd dispatch mode).
+// (that is what keeps --report bytes identical with the bound tier on or
+// off and under any --simd dispatch mode).
 TEST(Metrics, ExecClassMetricsAreSegregatedFromSemanticOnes) {
   EXPECT_TRUE(is_exec_metric("oracle.probes"));
   EXPECT_TRUE(is_exec_metric("flow.augmentations"));
@@ -303,7 +300,7 @@ TEST(Metrics, SimdDispatchInvarianceOfSemanticSnapshots) {
 // The bound tier only moves bounds.* / oracle.* execution-class tallies:
 // the same OPT computation with the sandwich on and off must produce
 // byte-identical semantic report JSON (bounds.* routes through
-// is_exec_metric like cache.* and simd.*), while the tier-on run records
+// is_exec_metric like simd.*), while the tier-on run records
 // pinches and skipped probes the tier-off run cannot. The tier's tallies
 // are also a pure function of the instance set, so they merge identically
 // at any thread count.
@@ -350,7 +347,7 @@ TEST(Metrics, BoundTierInvarianceOfSemanticSnapshots) {
   EXPECT_EQ(exec(off, "bounds.computed"), 0u);
   EXPECT_EQ(exec(on, "bounds.computed"), instances.size());
   // Pure function of the instance set: identical tallies at any thread
-  // count (exec maps included, like the cache/mem tallies below; gauges
+  // count (exec maps included, like the mem tallies below; gauges
   // excluded -- high-water marks legitimately depend on the worker split).
   EXPECT_EQ(on.counters, on_parallel.counters);
   EXPECT_EQ(on.histograms, on_parallel.histograms);
@@ -460,49 +457,6 @@ TEST(Metrics, DynamicOracleTalliesClassifyAndMergeDeterministically) {
   EXPECT_EQ(latencies.at("hist.event_ns").count, stream.size());
   LatencyRegistry::global().reset();
 #endif
-  Registry::global().reset();
-}
-
-// cache.* tallies merge deterministically across thread
-// counts when the workload pins them down: a serial warm phase inserts
-// every key exactly once, then a parallel phase performs read-only all-hit
-// lookups, so hit/miss/insert totals are a pure function of the task set
-// no matter which worker runs which task.
-TEST(Metrics, CacheAndSpeculateTalliesMergeDeterministically) {
-  auto key = [](std::size_t i) {
-    return util::Digest128{util::mix64(i * 2 + 1), util::mix64(i * 3 + 7)};
-  };
-  auto run = [&](std::size_t threads) {
-    util::OptCache& cache = util::OptCache::global();
-    cache.configure(true, 1 << 10);
-    Registry& r = Registry::global();
-    (void)r.snapshot();  // drain residue on the calling thread
-    r.reset();
-    const std::size_t tasks = 16;
-    for (std::size_t i = 0; i < tasks; ++i)
-      cache.insert_opt(key(i), static_cast<std::int64_t>(i));
-    std::vector<std::int64_t> values =
-        bench::parallel_map(tasks, threads, [&](std::size_t i) {
-          std::optional<std::int64_t> hit = cache.lookup_opt(key(i));
-          r.counter("cache.rounds").add(1);
-          r.counter("cache.probes").add(i % 3);
-          return hit.value_or(-1);
-        });
-    Snapshot snap = r.snapshot();
-    cache.configure(false, 64);  // leave the global cache disabled
-    for (std::size_t i = 0; i < tasks; ++i)
-      EXPECT_EQ(values[i], static_cast<std::int64_t>(i));
-    return snap;
-  };
-  Snapshot single = run(1);
-  Snapshot parallel = run(4);
-  EXPECT_EQ(single.exec_counters.at("cache.inserts"), 16u);
-  EXPECT_EQ(single.exec_counters.at("cache.hits"), 16u);
-  EXPECT_EQ(single.exec_counters.at("cache.rounds"), 16u);
-  EXPECT_EQ(single, parallel);  // exec maps included: fully pinned workload
-  EXPECT_EQ(single.to_json(), parallel.to_json());
-  EXPECT_EQ(single.to_json(false, /*include_exec=*/true),
-            parallel.to_json(false, /*include_exec=*/true));
   Registry::global().reset();
 }
 

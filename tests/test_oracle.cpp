@@ -3,11 +3,13 @@
 // with an independent dense Horn network (reference_horn.hpp) and with the
 // pair-scan load bound, on every instance family, including
 // non-integer-grid (rational mode) and adversarial strong-lower-bound
-// instances, with the bound tier on and off.
+// instances, with the bound tier on and off, and from concurrent threads.
 #include "minmach/flow/feasibility.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "minmach/adversary/strong_lb.hpp"
@@ -16,6 +18,7 @@
 #include "minmach/core/contribution.hpp"
 #include "minmach/core/transforms.hpp"
 #include "minmach/gen/generators.hpp"
+#include "minmach/obs/metrics.hpp"
 #include "minmach/util/rng.hpp"
 #include "reference_horn.hpp"
 
@@ -206,6 +209,58 @@ TEST(Oracle, RationalModeMatchesIntegerMode) {
     EXPECT_EQ(optimal_migratory_machines(instance), reference);
     EXPECT_EQ(optimal_migratory_machines(scaled), reference);
   }
+}
+
+TEST(Oracle, DegenerateInstancesAnswerOrThrow) {
+  // The empty instance needs no machine, a single job one; a malformed
+  // instance is refused by optimal_machines() rather than answered.
+  with_tier_on_and_off([&] {
+    EXPECT_EQ(FeasibilityOracle(Instance()).optimal_machines(), 0);
+
+    const Instance one({mk(0, 2, 1)});
+    EXPECT_EQ(reference::horn_optimal_machines(one), 1);
+    EXPECT_EQ(FeasibilityOracle(one).optimal_machines(), 1);
+
+    const Instance bad({mk(1, 1, 1)});
+    ASSERT_FALSE(bad.well_formed());
+    FeasibilityOracle oracle(bad);
+    EXPECT_THROW((void)oracle.optimal_machines(), std::invalid_argument);
+  });
+}
+
+TEST(Oracle, ConcurrentQueriesStayConsistent) {
+  // Four threads query the same instance pool, one fresh oracle per query,
+  // so every thread keeps recycling its parked Impl (and, with the tier
+  // off, the probe network's storage) while the others do the same; every
+  // answer must equal the reference network's.
+  Rng rng(23);
+  GenConfig config;
+  config.n = 12;
+  std::vector<Instance> pool;
+  for (int trial = 0; trial < 6; ++trial) pool.push_back(gen_general(rng, config));
+  std::vector<std::int64_t> reference;
+  for (const Instance& in : pool)
+    reference.push_back(reference::horn_optimal_machines(in));
+
+  with_tier_on_and_off([&] {
+    const int threads = 4, reps = 8;
+    std::vector<std::vector<std::int64_t>> got(
+        threads, std::vector<std::int64_t>(pool.size(), -1));
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int rep = 0; rep < reps; ++rep)
+          for (std::size_t i = 0; i < pool.size(); ++i)
+            got[static_cast<std::size_t>(t)][i] =
+                FeasibilityOracle(pool[i]).optimal_machines();
+        obs::drain_hot_tallies();
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+    for (int t = 0; t < threads; ++t)
+      EXPECT_EQ(got[static_cast<std::size_t>(t)], reference) << "thread " << t;
+  });
 }
 
 }  // namespace
