@@ -28,7 +28,6 @@
 #include "minmach/obs/trace.hpp"
 #include "minmach/util/cli.hpp"
 #include "minmach/util/parallel.hpp"
-#include "minmach/util/simd.hpp"
 #include "minmach/util/table.hpp"
 
 namespace minmach::bench {
@@ -101,18 +100,10 @@ inline void write_bench_stamp(obs::JsonWriter& json) {
 // destruction -- writes the machine-readable run report: config, result
 // tables, measured-vs-bound checks, and a metrics snapshot. The report
 // excludes wall-clock timings and reproducibility-neutral flags (--threads,
-// --report, --trace, --simd, --bounds), so its bytes are identical at any
-// thread count, under any SIMD dispatch mode, and with the bound tier on or
-// off (SIMD/bounds state only moves execution-class metrics, which
-// snapshots segregate).
-//
-// Also reads --simd {auto,avx2,scalar} and sets the global kernel dispatch
-// mode (util::simd::set_mode, DESIGN.md §12). Default auto: use the AVX2
-// kernels whenever the binary compiled them and the CPU has them. avx2
-// insists (clear error when unavailable, so an A/B run never silently
-// measures the fallback); scalar forces the portable path for differential
-// runs. Results are bit-identical across modes -- the flag only moves wall
-// clock and execution-class metrics.
+// --report, --trace, --bounds), so its bytes are identical at any thread
+// count, with or without the AVX2 kernels, and with the bound tier on or
+// off (SIMD dispatch and bounds state only move execution-class metrics,
+// which snapshots segregate).
 //
 // Also reads --bounds {on,off} (default off) and sets the global bound-tier
 // gate (set_bounds_tier_enabled, DESIGN.md §14). Off keeps every driver
@@ -126,8 +117,7 @@ inline void write_bench_stamp(obs::JsonWriter& json) {
 // report's "profile"/"latency" sections (and the optional
 // --profile-chrome=FILE trace); every other report byte is unchanged, so a
 // profiled run diffs clean against an un-profiled one outside those
-// sections. Like --threads/--simd, the flag is excluded from the report
-// config.
+// sections. Like --threads, the flag is excluded from the report config.
 class Run {
  public:
   Run(Cli& cli, std::string experiment, std::string paper_claim) {
@@ -137,23 +127,6 @@ class Run {
       sink_ = std::make_unique<obs::TraceSink>(trace_path);
       obs::TraceSink::set_global(sink_.get());
     }
-    const std::string simd_flag = cli.get_string("simd", "auto");
-    util::simd::Mode simd_mode;
-    if (!util::simd::parse_mode(simd_flag, &simd_mode)) {
-      std::cerr << "error: --simd must be 'auto', 'avx2', or 'scalar' (got '"
-                << simd_flag << "')\n";
-      std::exit(2);
-    }
-    if (simd_mode == util::simd::Mode::kAvx2 && !util::simd::supported()) {
-      std::cerr << "error: --simd avx2 requested but AVX2 kernels are "
-                   "unavailable ("
-                << (util::simd::compiled_avx2()
-                        ? "CPU lacks AVX2"
-                        : "binary built without them, MINMACH_SIMD=scalar")
-                << "); use 'auto' or 'scalar'\n";
-      std::exit(2);
-    }
-    util::simd::set_mode(simd_mode);
     // Bound tier (--bounds, DESIGN.md §14): default OFF in the drivers --
     // the library default is on, but the committed baselines and m01's
     // edge-visit cost model measure the exact tier, which a sandwich that

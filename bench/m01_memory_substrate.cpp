@@ -308,10 +308,9 @@ int main(int argc, char** argv) try {
   // flow edge visits its OPT search performs, then replay both chunking
   // policies with ideal workers (zero steal overhead, deterministic
   // lowest-clock-first order). flow.edge_visits is a registry counter, so
-  // the costs -- and the makespans -- are a property of the policy, the
-  // workload and the --simd kernel (the bitmap BFS visits fewer edges), the
-  // same on every run and in obs-off builds. Every task must probe, as at
-  // the defaults: with --bounds on a task can cost 0.
+  // the costs -- and the makespans -- are a property of the policy and the
+  // workload, the same on every run and in obs-off builds. Every task must
+  // probe, as at the defaults: with --bounds on a task can cost 0.
   obs::Counter& edge_visits =
       obs::Registry::global().counter("flow.edge_visits");
   std::vector<std::uint64_t> task_cost(task_count);

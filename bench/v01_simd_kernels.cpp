@@ -1,26 +1,15 @@
-// V1 -- SIMD/bit-parallel kernel layer (DESIGN.md §12): AVX2 load sweep,
-// bitmap+CSR Dinic levels, batched small-Rat kernels vs their scalar
-// fallbacks.
+// V1 -- the SIMD kernel layer (DESIGN.md §12): the int64 load-sweep kernel
+// with AVX2 lanes and its portable scalar twin against the generic
+// __int128 sweep it restates (the wall-clock counterpart of the SweepSimd
+// differential tests). Every witness is checked equal to the generic
+// sweep's before its timing is reported.
 //
-// Two tiers of A/B rows, both dispatch modes running in ONE binary (the
-// kernels are runtime-dispatched, so this bench is the differential tests'
-// wall-clock counterpart):
-//
-//   * microkernels -- the int64 load-sweep kernel (AVX2 lanes vs scalar twin
-//     vs the generic __int128 sweep), Dinic max-flow with the bitmap+CSR
-//     level kernel vs the seed scalar BFS, and the rat_batch sum/less_than
-//     kernels vs sequential Rat arithmetic; every pair is checked for
-//     identical results before its timing is reported.
-//   * end-to-end -- o01's instance families (unit-wide and general), exact
-//     OPT per instance under --simd scalar vs avx2 dispatch, OPT and the
-//     certified load lower bound required identical.
-//
-// Acceptance (enforced in-bench like m01/b01): at the largest unit-wide row
-// with n >= 2000, avx2 dispatch must be >= 2x faster by wall clock, and the
-// sweep microkernel >= 2x over the generic sweep. Rows land in --out
-// (BENCH_simd.json, wall times included so NOT byte-deterministic). On a
-// machine without AVX2 (or a MINMACH_SIMD=scalar build) the avx2 columns
-// are skipped and no bar is enforced -- the scalar rows still validate.
+// Acceptance (enforced in-bench like m01/b01): at the largest row with
+// n >= 2000 the AVX2 kernel must be >= 2x faster than the generic sweep.
+// Rows land in --out (BENCH_simd.json, wall times included so NOT
+// byte-deterministic). On a machine without AVX2 (or a MINMACH_SIMD=scalar
+// build) the avx2 column is skipped and no bar is enforced -- the scalar
+// rows still validate.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -31,8 +20,6 @@
 #include "bench/bench_common.hpp"
 #include "minmach/core/load_sweep.hpp"
 #include "minmach/core/load_sweep_simd.hpp"
-#include "minmach/flow/dinic.hpp"
-#include "minmach/flow/feasibility.hpp"
 #include "minmach/gen/generators.hpp"
 #include "minmach/obs/json.hpp"
 #include "minmach/util/cli.hpp"
@@ -106,54 +93,6 @@ bool same_witness(const SweepWitness& a, const SweepWitness& b) {
   return a.machines == b.machines && a.lo == b.lo && a.hi == b.hi;
 }
 
-// Layered sparse random network for the Dinic level-kernel microbench:
-// layers of `width` nodes, each with `degree` random out-edges into the
-// next layer -- wide frontiers and pointer-chasing adjacency, the shape the
-// bitmap+CSR level kernel targets (the oracle's compressed network is
-// similarly sparse).
-Dinic<long long> make_layered(Rng& rng, std::size_t layers, std::size_t width,
-                              std::size_t degree) {
-  const std::size_t nodes = layers * width + 2;
-  Dinic<long long> graph(nodes);
-  const std::size_t source = nodes - 2, sink = nodes - 1;
-  auto node = [&](std::size_t layer, std::size_t i) {
-    return layer * width + i;
-  };
-  for (std::size_t i = 0; i < width; ++i)
-    graph.add_edge(source, node(0, i), rng.uniform_int(1, 64));
-  for (std::size_t layer = 0; layer + 1 < layers; ++layer)
-    for (std::size_t i = 0; i < width; ++i)
-      for (std::size_t k = 0; k < degree; ++k)
-        graph.add_edge(
-            node(layer, i),
-            node(layer + 1, static_cast<std::size_t>(rng.uniform_int(
-                                0, static_cast<std::int64_t>(width) - 1))),
-            rng.uniform_int(1, 8));
-  for (std::size_t i = 0; i < width; ++i)
-    graph.add_edge(node(layers - 1, i), sink, rng.uniform_int(1, 64));
-  return graph;
-}
-
-struct EndToEnd {
-  std::int64_t opt = 0;
-  std::int64_t lb = 0;
-  double wall_ms = 0.0;
-};
-
-EndToEnd measure_opt(const Instance& instance, util::simd::Mode mode,
-                     int reps) {
-  const util::simd::Mode saved = util::simd::mode();
-  util::simd::set_mode(mode);
-  EndToEnd out;
-  out.wall_ms = best_of(reps, [&] {
-    FeasibilityOracle oracle(instance);
-    out.opt = oracle.optimal_machines();
-    out.lb = oracle.load_lower_bound();
-  });
-  util::simd::set_mode(saved);
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -162,8 +101,8 @@ int main(int argc, char** argv) try {
   const std::int64_t reps = cli.get_int("reps", 3);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const std::string out_path = cli.get_string("out", "BENCH_simd.json");
-  bench::Run ctx(cli, "V1: SIMD + bit-parallel kernels vs scalar dispatch",
-                 "bit-identical results, >= 2x wall on the oracle hot paths");
+  bench::Run ctx(cli, "V1: AVX2 load-sweep kernel vs the generic sweep",
+                 "bit-identical witnesses, >= 2x wall over the generic sweep");
   cli.check_unknown();
   const std::vector<std::int64_t> sizes = parse_sizes(sizes_csv);
   const bool avx2 = util::simd::supported();
@@ -173,7 +112,7 @@ int main(int argc, char** argv) try {
   ctx.config("avx2_available", avx2 ? "yes" : "no");
   if (!avx2)
     std::cout << "note: AVX2 kernels unavailable (CPU or build); scalar "
-                 "rows only, no speedup bars enforced\n";
+                 "rows only, no speedup bar enforced\n";
 
   struct MicroRow {
     std::string kernel;
@@ -183,9 +122,8 @@ int main(int argc, char** argv) try {
   };
   std::vector<MicroRow> micro;
 
-  // --- microkernel: int64 load sweep (scalar twin vs AVX2 lanes), plus the
-  // generic __int128 sweep as the seed reference; all three witnesses must
-  // agree exactly.
+  // int64 load sweep (scalar twin vs AVX2 lanes) and the generic __int128
+  // sweep as the reference; all three witnesses must agree exactly.
   for (std::int64_t n : sizes) {
     const std::int64_t horizon = std::max<std::int64_t>(4, n / 8);
     Rng rng(seed + static_cast<std::uint64_t>(n));
@@ -198,8 +136,7 @@ int main(int argc, char** argv) try {
     std::vector<__int128> wide_p(ints.processing.begin(),
                                  ints.processing.end());
     std::vector<__int128> wide_pts(ints.points.begin(), ints.points.end());
-    // The seed kernel -- what --simd scalar dispatch actually runs in the
-    // oracle -- is the generic __int128 sweep; the restructured int64
+    // The generic __int128 sweep is the reference; the restructured int64
     // scalar twin is reported as its own row (the compaction restructure
     // alone, no lanes).
     SweepWitness generic;
@@ -234,109 +171,6 @@ int main(int argc, char** argv) try {
     micro.push_back(twin);
   }
 
-  // --- microkernel: Dinic level kernel (bitmap+CSR vs scalar BFS) on a
-  // layered random network; max-flow values must match.
-  {
-    Rng rng(seed);
-    const std::size_t layers = 16, width = 512, degree = 6;
-    Dinic<long long> graph = make_layered(rng, layers, width, degree);
-    const std::size_t source = graph.node_count() - 2;
-    const std::size_t sink = graph.node_count() - 1;
-    long long flow_scalar = 0, flow_bitmap = 0;
-    MicroRow row{"dinic_levels",
-                 static_cast<std::int64_t>(graph.node_count()), 0.0, 0.0};
-    graph.set_level_kernel(0);
-    row.scalar_ms = best_of(static_cast<int>(reps), [&] {
-      graph.reset_flow();
-      flow_scalar = graph.max_flow(source, sink);
-    });
-    // The bitmap kernel is portable (packed words, no intrinsics), so this
-    // side runs -- and is checked -- even without AVX2.
-    graph.set_level_kernel(1);
-    row.simd_ms = best_of(static_cast<int>(reps), [&] {
-      graph.reset_flow();
-      flow_bitmap = graph.max_flow(source, sink);
-    });
-    bench::require(flow_scalar == flow_bitmap,
-                   "bitmap level kernel changed the max-flow value");
-    micro.push_back(row);
-  }
-
-  // --- microkernels: batched small-Rat kernels vs the seed sequential Rat
-  // loops they replace.
-  {
-    const std::size_t count = 1 << 17;
-    Rng rng(seed + 7);
-    std::vector<Rat> a(count), b(count);
-    std::vector<std::int64_t> ints(count), nums(count), dens(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      a[i] = Rat(rng.uniform_int(-1000000, 1000000),
-                 rng.uniform_int(1, 100000));
-      b[i] = Rat(rng.uniform_int(-1000000, 1000000),
-                 rng.uniform_int(1, 100000));
-      ints[i] = rng.uniform_int(-1000000000, 1000000000);
-      nums[i] = rng.uniform_int(-1000000, 1000000);
-      dens[i] = rng.uniform_int(1, 100000);
-    }
-
-    // less_than: batched cross-multiply (scalar int64 vs AVX2 lanes).
-    {
-      std::vector<unsigned char> lt_scalar(count), lt_simd(count);
-      MicroRow row{"rat_less", static_cast<std::int64_t>(count), 0.0, 0.0};
-      row.scalar_ms = best_of(static_cast<int>(reps), [&] {
-        rat_batch::less_than(a.data(), b.data(), count, lt_scalar.data(),
-                             /*avx2=*/false);
-      });
-      if (avx2) {
-        row.simd_ms = best_of(static_cast<int>(reps), [&] {
-          rat_batch::less_than(a.data(), b.data(), count, lt_simd.data(),
-                               /*avx2=*/true);
-        });
-        bench::require(lt_scalar == lt_simd,
-                       "batched less_than disagrees across dispatch modes");
-      }
-      micro.push_back(row);
-    }
-
-    // sum over integer-valued Rats: seed sequential += vs the batched
-    // int64 extraction + lane accumulation.
-    {
-      std::vector<Rat> values(count);
-      for (std::size_t i = 0; i < count; ++i) values[i] = Rat(ints[i]);
-      Rat sum_seq, sum_batch;
-      MicroRow row{"rat_sum", static_cast<std::int64_t>(count), 0.0, 0.0};
-      row.scalar_ms = best_of(static_cast<int>(reps), [&] {
-        Rat acc;
-        for (std::size_t i = 0; i < count; ++i) acc += values[i];
-        sum_seq = acc;
-      });
-      row.simd_ms = best_of(static_cast<int>(reps), [&] {
-        sum_batch = rat_batch::sum(values.data(), count, avx2);
-      });
-      bench::require(sum_seq == sum_batch,
-                     "batched sum disagrees with sequential +=");
-      micro.push_back(row);
-    }
-
-    // make: per-lane checked Rat construction vs the batched
-    // prescan-validate + gcd-normalize path.
-    {
-      std::vector<Rat> made_seq(count), made_batch(count);
-      MicroRow row{"rat_make", static_cast<std::int64_t>(count), 0.0, 0.0};
-      row.scalar_ms = best_of(static_cast<int>(reps), [&] {
-        for (std::size_t i = 0; i < count; ++i)
-          made_seq[i] = Rat(BigInt(nums[i]), BigInt(dens[i]));
-      });
-      row.simd_ms = best_of(static_cast<int>(reps), [&] {
-        rat_batch::make(nums.data(), dens.data(), count, made_batch.data(),
-                        avx2);
-      });
-      bench::require(made_seq == made_batch,
-                     "batched make disagrees with checked construction");
-      micro.push_back(row);
-    }
-  }
-
   Table micro_table({"kernel", "n", "scalar ms", "simd ms", "speedup"});
   for (const MicroRow& row : micro) {
     const double speedup =
@@ -349,87 +183,10 @@ int main(int argc, char** argv) try {
   micro_table.print(std::cout);
   ctx.table("microkernels", micro_table);
 
-  // --- end-to-end: o01's families, exact OPT under both dispatch modes.
-  struct E2eRow {
-    std::string family;
-    std::int64_t n = 0;
-    EndToEnd scalar;
-    EndToEnd simd;
-    bool has_simd = false;
-  };
-  std::vector<E2eRow> rows;
-  struct Family {
-    const char* name;
-    Instance (*generate)(Rng&, const GenConfig&);
-    GenConfig (*config)(std::int64_t n);
-    bool checked;  // carries the >= 2x bar (o01's checked family)
-  };
-  const Family families[] = {
-      {"unit-wide", gen_unit,
-       [](std::int64_t n) {
-         const std::int64_t horizon = std::max<std::int64_t>(4, n / 8);
-         return GenConfig{static_cast<std::size_t>(n), horizon, horizon, 1};
-       },
-       true},
-      {"general", gen_general,
-       [](std::int64_t n) {
-         return GenConfig{static_cast<std::size_t>(n), 2 * n,
-                          std::max<std::int64_t>(8, n / 8), 2};
-       },
-       false},
-  };
-
-  Table e2e_table(
-      {"family", "n", "opt", "scalar ms", "avx2 ms", "speedup"});
-  for (const Family& family : families) {
-    for (std::int64_t n : sizes) {
-      Rng rng(seed + static_cast<std::uint64_t>(n));
-      const Instance instance = family.generate(rng, family.config(n));
-      E2eRow row;
-      row.family = family.name;
-      row.n = n;
-      row.scalar = measure_opt(instance, util::simd::Mode::kScalar,
-                               static_cast<int>(reps));
-      if (avx2) {
-        row.simd = measure_opt(instance, util::simd::Mode::kAvx2,
-                               static_cast<int>(reps));
-        row.has_simd = true;
-        bench::require(row.simd.opt == row.scalar.opt,
-                       "OPT differs across dispatch modes");
-        bench::require(row.simd.lb == row.scalar.lb,
-                       "load lower bound differs across dispatch modes");
-      }
-      rows.push_back(row);
-      const double speedup = row.has_simd && row.simd.wall_ms > 0.0
-                                 ? row.scalar.wall_ms / row.simd.wall_ms
-                                 : 0.0;
-      e2e_table.add_row(
-          {row.family, std::to_string(row.n), std::to_string(row.scalar.opt),
-           Table::fmt(row.scalar.wall_ms, 2),
-           row.has_simd ? Table::fmt(row.simd.wall_ms, 2) : "-",
-           row.has_simd ? Table::fmt(speedup, 2) : "-"});
-    }
-  }
-  e2e_table.print(std::cout);
-  ctx.table("end-to-end OPT", e2e_table);
-
-  // Acceptance: >= 2x at the largest checked end-to-end row with n >= 2000
-  // (smaller sizes are dominated by fixed costs and are smoke-only), and
-  // >= 2x for the sweep microkernel at the same scale.
+  // Acceptance: >= 2x for the sweep kernel at the largest row with
+  // n >= 2000 (smaller sizes are dominated by fixed costs and are
+  // smoke-only).
   if (avx2) {
-    const E2eRow* largest = nullptr;
-    for (const E2eRow& row : rows) {
-      if (row.family == std::string("unit-wide") && row.has_simd &&
-          row.n >= 2000 && (!largest || row.n > largest->n))
-        largest = &row;
-    }
-    if (largest) {
-      const double speedup =
-          largest->scalar.wall_ms / std::max(1e-9, largest->simd.wall_ms);
-      ctx.check("unit-wide: avx2 dispatch wall speedup >= 2 at n=" +
-                    std::to_string(largest->n),
-                Table::fmt(speedup, 2), ">= 2", speedup >= 2.0);
-    }
     const MicroRow* sweep_largest = nullptr;
     for (const MicroRow& row : micro) {
       if (row.kernel == "load_sweep" && row.simd_ms > 0.0 && row.n >= 2000 &&
@@ -462,22 +219,6 @@ int main(int argc, char** argv) try {
     if (row.simd_ms > 0.0) {
       json.key("simd_ms").value(row.simd_ms);
       json.key("speedup").value(row.scalar_ms / row.simd_ms);
-    }
-    json.end_object();
-  }
-  json.end_array();
-  json.key("end_to_end").begin_array();
-  for (const E2eRow& row : rows) {
-    json.begin_object();
-    json.key("family").value(row.family);
-    json.key("n").value(row.n);
-    json.key("opt").value(row.scalar.opt);
-    json.key("load_lb").value(row.scalar.lb);
-    json.key("scalar_wall_ms").value(row.scalar.wall_ms);
-    if (row.has_simd) {
-      json.key("avx2_wall_ms").value(row.simd.wall_ms);
-      json.key("wall_speedup")
-          .value(row.scalar.wall_ms / std::max(1e-9, row.simd.wall_ms));
     }
     json.end_object();
   }

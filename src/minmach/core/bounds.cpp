@@ -7,9 +7,6 @@
 #include <vector>
 
 #include "minmach/core/load_sweep.hpp"
-#include "minmach/core/load_sweep_simd.hpp"
-#include "minmach/obs/profile.hpp"
-#include "minmach/util/simd.hpp"
 
 namespace minmach {
 
@@ -23,29 +20,6 @@ std::size_t sweep_stride(std::size_t point_count, std::size_t left_budget) {
   if (point_count <= 1) return 1;
   if (left_budget == 0) left_budget = 1;
   return std::max<std::size_t>(1, (point_count - 1) / left_budget);
-}
-
-// Small-integer extraction for the SIMD kernel: succeeds only when every
-// field is an integer Rat in the int64 small tier (the kernel applies its
-// own tighter overflow guard and spills internally if needed).
-bool small_int_fields(const Instance& instance, std::vector<std::int64_t>& r,
-                      std::vector<std::int64_t>& d,
-                      std::vector<std::int64_t>& p) {
-  const std::size_t n = instance.size();
-  r.reserve(n);
-  d.reserve(n);
-  p.reserve(n);
-  auto small_into = [](const Rat& value, std::vector<std::int64_t>& dst) {
-    if (!value.is_integer() || !value.num().is_small()) return false;
-    dst.push_back(value.num().small_value());
-    return true;
-  };
-  for (const Job& job : instance.jobs()) {
-    if (!small_into(job.release, r) || !small_into(job.deadline, d) ||
-        !small_into(job.processing, p))
-      return false;
-  }
-  return true;
 }
 
 // Near-argmax interval candidate from the double prefilter sweep.
@@ -216,46 +190,6 @@ std::int64_t prefiltered_sweep_bound(const std::vector<Rat>& release,
       best = std::max(best, (work / (b - a)).ceil().to_int64());
   }
   return best;
-}
-
-LowerBoundParts certified_lower_bound(const Instance& instance,
-                                      std::size_t left_budget) {
-  LowerBoundParts out;
-  if (instance.empty() || !instance.well_formed()) return out;
-  obs::ProfileSpan span("bound_lo");
-
-  const std::vector<Rat> points = instance.event_points();
-  const Rat span_length = points.back() - points.front();
-  if (span_length.is_positive()) {
-    const Rat density = instance.total_work() / span_length;
-    out.density = std::max<std::int64_t>(1, density.ceil().to_int64());
-  }
-
-  const std::size_t stride = sweep_stride(points.size(), left_budget);
-  std::vector<std::int64_t> r64, d64, p64;
-  if (util::simd::active() && small_int_fields(instance, r64, d64, p64)) {
-    std::vector<std::int64_t> pts64;
-    pts64.reserve(points.size());
-    for (const Rat& point : points)
-      pts64.push_back(point.num().small_value());
-    out.sweep = sweep_load_bound_i64(r64, d64, p64, pts64, stride,
-                                     /*use_avx2=*/true)
-                    .machines;
-  } else {
-    std::vector<Rat> release, deadline, processing;
-    release.reserve(instance.size());
-    deadline.reserve(instance.size());
-    processing.reserve(instance.size());
-    for (const Job& job : instance.jobs()) {
-      release.push_back(job.release);
-      deadline.push_back(job.deadline);
-      processing.push_back(job.processing);
-    }
-    out.sweep = prefiltered_sweep_bound(release, deadline, processing, points,
-                                        left_budget);
-  }
-  out.machines = std::max(out.density, out.sweep);
-  return out;
 }
 
 void set_bounds_tier_enabled(bool enabled) {

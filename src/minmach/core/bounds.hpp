@@ -2,10 +2,12 @@
 // front of the exact max-flow oracle (DESIGN.md §14).
 //
 // Lower side: the pigeonhole density bound ceil(total work / span) and the
-// single-interval sweep load bound (Theorem 1's easy direction), evaluated
-// by the same SIMD-dispatched kernel the oracle uses. Upper side: a
-// constructive EDF/LLF packing witness (algos/pack_ub.hpp), audited by
-// core/validate -- a schedule, not a heuristic. Together they sandwich
+// single-interval sweep load bound (Theorem 1's easy direction), which the
+// oracle evaluates on its normalized arrays: the SIMD-dispatched int64
+// kernel on integer grids, prefiltered_sweep_bound below otherwise. Upper
+// side: a constructive EDF/LLF packing witness (algos/pack_ub.hpp),
+// audited by core/validate -- a schedule, not a heuristic. Together they
+// sandwich
 //   lo <= OPT <= hi;
 // when the sandwich pinches (lo == hi) the exact oracle returns OPT without
 // building a flow network at all, and otherwise the search starts from the
@@ -44,26 +46,6 @@ struct BoundSandwich {
 
   [[nodiscard]] bool pinched() const { return lo == hi; }
 };
-
-// The lower-bound side on its own (the oracle computes it from its already
-// normalized grid; this standalone entry point serves the bound tier's
-// tests, benches, and direct callers).
-struct LowerBoundParts {
-  std::int64_t machines = 0;  // max(density, sweep); >= 1 for non-empty input
-  std::int64_t density = 0;
-  std::int64_t sweep = 0;
-};
-
-// Certified lower bound on OPT. Dispatches the int64 SIMD sweep kernel
-// (core/load_sweep_simd.hpp) when every job field is a small integer and
-// util::simd::active(), and the generic exact-rational kernel otherwise --
-// bit-identical results either way. `left_budget` caps the sweep at
-// O(budget * (n + S)) by subsampling left endpoints; the result is then a
-// max over a subset of intervals, so it stays certified (possibly below the
-// exact single-interval bound). Returns all-zero for an empty or malformed
-// instance (malformed input has no feasible schedule to bound).
-[[nodiscard]] LowerBoundParts certified_lower_bound(
-    const Instance& instance, std::size_t left_budget = 256);
 
 // Sweep load bound for exact-rational grids via a double-precision
 // prefilter -- the tier's approximate→exact philosophy applied to its own

@@ -175,12 +175,12 @@ LoadBound load_bound_single_interval(const Instance& instance) {
   if (grid.usable) {
     // ceil(C/len) and every comparison of the sweep are invariant under the
     // scaling, so the int64 kernel (DESIGN.md §12) returns the Rat sweep's
-    // machine count and witness indices. The SIMD mode picks only the
+    // machine count and witness indices. The CPU check picks only the
     // kernel policy.
     const std::vector<std::int64_t> points = grid.event_points();
     const SweepWitness sweep = sweep_load_bound_i64(
         grid.release, grid.deadline, grid.processing, points,
-        /*left_stride=*/1, util::simd::active());
+        /*left_stride=*/1, util::simd::supported());
     best.machines = sweep.machines;
     if (sweep.machines > 0)
       best.witness = IntervalSet{Interval{grid.to_rat(points[sweep.lo]),

@@ -5,8 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "minmach/util/simd.hpp"
-
 namespace minmach {
 
 JobId Instance::add_job(Job job) {
@@ -32,21 +30,19 @@ std::vector<Rat> Instance::event_points() const {
     points.push_back(j.release);
     points.push_back(j.deadline);
   }
-  if (util::simd::active() && !points.empty()) {
-    // Integer fast path (DESIGN.md §12): when every endpoint is a small
-    // integer, sort/dedup int64 keys instead of Rats -- a compare there is
-    // one instruction vs. a two-branch small-tier compare -- and rebuild
-    // the canonical Rats (integers are canonical as v/1, so the result is
-    // bit-identical to sorting the Rats directly).
-    std::vector<std::int64_t> keys(points.size());
-    if (rat_batch::to_i64(points.data(), points.size(), keys.data(),
-                          INT64_MAX)) {
-      std::sort(keys.begin(), keys.end());
-      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-      points.resize(keys.size());
-      for (std::size_t i = 0; i < keys.size(); ++i) points[i] = Rat(keys[i]);
-      return points;
-    }
+  // Integer fast path (DESIGN.md §12): when every endpoint is a small
+  // integer, sort/dedup int64 keys instead of Rats -- a compare there is
+  // one instruction vs. a two-branch small-tier compare -- and rebuild the
+  // canonical Rats (integers are canonical as v/1, so the result is
+  // bit-identical to sorting the Rats directly).
+  std::vector<std::int64_t> keys(points.size());
+  if (rat_batch::to_i64(points.data(), points.size(), keys.data(),
+                        INT64_MAX)) {
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    points.resize(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) points[i] = Rat(keys[i]);
+    return points;
   }
   std::sort(points.begin(), points.end());
   points.erase(std::unique(points.begin(), points.end()), points.end());

@@ -142,8 +142,8 @@ SweepWitness sweep_kernel_i64(SweepSoA& s, std::size_t left_stride,
 }
 
 // Portable fallback policy: same restructured algorithm, element-at-a-time.
-// This is what "--simd scalar" measures and what the AVX2 policy is
-// differentially tested against.
+// This is what runs without AVX2 (a simd-scalar build or a CPU lacking it)
+// and what the AVX2 policy is differentially tested against.
 struct SweepScalarOps {
   std::uint64_t lanes = 0;  // scalar policy does no vector work
 

@@ -10,7 +10,7 @@
 // own range analysis.
 //
 // `use_avx2` selects the vector policy explicitly (callers pass
-// util::simd::active(), differential tests pin each path); passing true
+// util::simd::supported(), differential tests pin each path); passing true
 // requires util::simd::supported(). Preconditions mirror the generic
 // kernel: points sorted strictly ascending, instance well-formed (no
 // negative laxities).

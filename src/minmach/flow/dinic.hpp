@@ -13,7 +13,6 @@
 
 #include "minmach/obs/profile.hpp"
 #include "minmach/util/bitset.hpp"
-#include "minmach/util/simd.hpp"
 
 namespace minmach {
 
@@ -48,16 +47,8 @@ class Dinic {
     level_.resize(node_count);
     next_edge_.resize(node_count);
     stats_ = DinicStats{};
-    accel_mode_ = -1;
     csr_valid_ = false;
   }
-
-  // Level-graph kernel selection: -1 follows the global SIMD dispatch
-  // (util::simd::active(), re-read on every pass; the default after
-  // construction and reinit, which the feasibility oracle keeps), 0 forces
-  // the scalar queue, 1 forces the bit-parallel frontier -- the kernel
-  // differentials and bench/v01 pin it to compare the two.
-  void set_level_kernel(int mode) { accel_mode_ = mode; }
 
   // Appends an isolated node and returns its id. Existing edges, routed
   // flow, and handles stay valid -- only the CSR mirror is invalidated --
@@ -139,13 +130,7 @@ class Dinic {
   Cap max_flow(std::size_t source, std::size_t sink) {
     if (source == sink) throw std::invalid_argument("Dinic: source == sink");
     obs::ProfileSpan span("max_flow");
-    // Accel decision hoisted per call (DESIGN.md §12): the bit-parallel
-    // level BFS plus the CSR adjacency mirror. Edge ORDER is identical
-    // either way, so the routed flow is bit-identical; only locality and
-    // BFS bookkeeping differ.
-    use_accel_ =
-        accel_mode_ > 0 || (accel_mode_ < 0 && util::simd::active());
-    if (use_accel_) ensure_csr();
+    ensure_csr();
     Cap total(0);
     // Profiled as two child phases: "bfs" covers the level-graph builds,
     // "dfs" the blocking-flow augmentation between them. Span counts equal
@@ -186,44 +171,21 @@ class Dinic {
     Cap capacity;  // residual
   };
 
+  // Bit-parallel level build (DESIGN.md §12): visited/frontier live in
+  // packed 64-bit words (util::BitSet), the BFS runs level-synchronous over
+  // the CSR mirror, and the pass ABORTS as soon as the sink is labeled. The
+  // abort is safe: when the sink is discovered at depth L+1, every node at
+  // depth <= L is already labeled (whole frontiers are labeled before any
+  // expansion of the next depth starts), and those are the only
+  // intermediate nodes a shortest s->t path can use. A depth-L+1 node left
+  // unlabeled is exactly a node from which the blocking-flow DFS would
+  // dead-end anyway (it cannot reach the sink inside the level graph), so
+  // the DFS finds the same augmenting paths in the same order as after a
+  // full BFS.
   bool build_levels(std::size_t source, std::size_t sink) {
     ++stats_.bfs_passes;
     level_.assign(node_count(), -1);
     level_[source] = 0;
-    if (use_accel_) return build_levels_bitmap(source, sink);
-    // Pooled frontier: a BFS visits each node once, so the vector doubles
-    // as the queue (scan head forward) and its storage survives across
-    // passes and probes.
-    bfs_queue_.clear();
-    bfs_queue_.push_back(source);
-    for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
-      std::size_t node = bfs_queue_[head];
-      stats_.edge_visits += adjacency_[node].size();
-      for (std::size_t handle : adjacency_[node]) {
-        const Edge& edge = edges_[handle];
-        if (level_[edge.to] == -1 && Cap(0) < edge.capacity) {
-          level_[edge.to] = level_[node] + 1;
-          bfs_queue_.push_back(edge.to);
-        }
-      }
-    }
-    return level_[sink] != -1;
-  }
-
-  // Bit-parallel level build (DESIGN.md §12): visited/frontier live in
-  // packed 64-bit words (util::BitSet), the BFS runs level-synchronous, and
-  // the pass ABORTS as soon as the sink is labeled. The abort is safe: when
-  // the sink is discovered at depth L+1, every node at depth <= L is
-  // already labeled (whole frontiers are labeled before any expansion of
-  // the next depth starts), and those are the only intermediate nodes a
-  // shortest s->t path can use. A depth-L+1 node left unlabeled is exactly
-  // a node from which the blocking-flow DFS would dead-end anyway (it
-  // cannot reach the sink inside the level graph), so the DFS finds the
-  // same augmenting paths in the same order and routes bit-identical flow;
-  // only stats_.edge_visits (execution-class) shrinks.
-  // Precondition (established by build_levels): level_ is all -1 except
-  // level_[source] == 0.
-  bool build_levels_bitmap(std::size_t source, std::size_t sink) {
     visited_.reset(node_count());
     frontier_.reset(node_count());
     next_frontier_.reset(node_count());
@@ -258,8 +220,8 @@ class Dinic {
   }
 
   // Flattens adjacency_ into one contiguous handle array + offsets (CSR),
-  // preserving per-node edge order exactly, so the accel-path BFS/DFS scan
-  // one flat array instead of chasing per-node vector headers. Capacity
+  // preserving per-node edge order exactly, so the BFS/DFS scan one flat
+  // array instead of chasing per-node vector headers. Capacity
   // retunes (set_capacity / increase_capacity / reset_flow) never touch
   // adjacency, so a warm-started probe sequence builds this once.
   void ensure_csr() {
@@ -281,17 +243,8 @@ class Dinic {
   // limit < 0 means unbounded (only the source call uses that).
   Cap push(std::size_t node, std::size_t sink, Cap limit) {
     if (node == sink) return limit;
-    // Same handles in the same order from either layout (see ensure_csr),
-    // so the two branches route bit-identical flow.
-    const std::size_t* adj;
-    std::size_t degree;
-    if (use_accel_) {
-      adj = csr_handles_.data() + csr_off_[node];
-      degree = csr_off_[node + 1] - csr_off_[node];
-    } else {
-      adj = adjacency_[node].data();
-      degree = adjacency_[node].size();
-    }
+    const std::size_t* adj = csr_handles_.data() + csr_off_[node];
+    const std::size_t degree = csr_off_[node + 1] - csr_off_[node];
     for (std::size_t& i = next_edge_[node]; i < degree; ++i) {
       ++stats_.edge_visits;
       std::size_t handle = adj[i];
@@ -319,15 +272,12 @@ class Dinic {
   std::vector<Cap> initial_;  // capacity of each edge as added / last set
   std::vector<int> level_;
   std::vector<std::size_t> next_edge_;
-  std::vector<std::size_t> bfs_queue_;  // pooled BFS frontier, see build_levels
-  // Bit-parallel BFS state (build_levels_bitmap); pooled like bfs_queue_.
+  // Bit-parallel BFS state (build_levels), pooled across passes and probes.
   util::BitSet frontier_, next_frontier_, visited_;
-  // CSR mirror of adjacency_ for the accel path, see ensure_csr.
+  // CSR mirror of adjacency_, see ensure_csr.
   std::vector<std::size_t> csr_handles_;
   std::vector<std::size_t> csr_off_;
   bool csr_valid_ = false;
-  int accel_mode_ = -1;   // see set_level_kernel
-  bool use_accel_ = false;  // hoisted per max_flow call
   DinicStats stats_;
 };
 

@@ -32,7 +32,7 @@ namespace {
 // Adversarial instances with unbounded denominators fall back to the exact
 // rational network.
 
-// SIMD-mode shortcut for the common all-integer case (DESIGN.md §12):
+// Shortcut for the common all-integer case (DESIGN.md §12):
 // when every job field is already a small integer within the same 62-bit
 // guard, the grid is the values themselves (denominator lcm is 1, scale is
 // the identity), so the BigInt lcm computation and the 3n exact Rat
@@ -41,7 +41,7 @@ namespace {
 // grid, so integer_mode and every downstream verdict are unchanged; also
 // reports total work so the caller can derive the density bound without
 // rationals (declined if it overflows int64 -- the general path then
-// reproduces the seed arithmetic exactly).
+// computes it in exact rationals).
 struct SmallGrid {
   IntegerGrid grid;
   std::int64_t total_work = 0;
@@ -381,16 +381,7 @@ void OracleNet<Cap>::build(BuildCounters& counters) {
   for (std::size_t k = 0; k < segments; ++k)
     seg_length[k] = points[k + 1] - points[k];
   total_work = Cap(0);
-  if constexpr (std::is_same_v<Cap, Rat>) {
-    if (util::simd::active()) {
-      total_work = rat_batch::sum(processing.data(), processing.size(),
-                                  /*avx2=*/true);
-    } else {
-      for (const Cap& p : processing) total_work += p;
-    }
-  } else {
-    for (const Cap& p : processing) total_work += p;
-  }
+  for (const Cap& p : processing) total_work += p;
   source = 0;
 
   // Segment-tree layout. The per-(job, segment) capacity |segment| can
@@ -801,34 +792,28 @@ std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
                          : std::max<std::size_t>(
                                1, (points.size() - 1) / kLeftBudget);
   if constexpr (std::is_same_v<Cap, __int128>) {
-    // Integer grid + SIMD dispatch: run the vectorized int64 kernel. Grid
-    // values fit int64 by the try_integer_grid guard; the kernel spills
-    // back to this generic path internally if its tighter overflow guard
-    // rejects the instance. Bit-identical results either way.
-    if (util::simd::active()) {
-      auto narrow = [](const std::vector<__int128>& v) {
-        std::vector<std::int64_t> out(v.size());
-        for (std::size_t i = 0; i < v.size(); ++i)
-          out[i] = static_cast<std::int64_t>(v[i]);
-        return out;
-      };
-      return sweep_load_bound_i64(narrow(release), narrow(deadline),
-                                  narrow(processing), narrow(points), stride,
-                                  /*use_avx2=*/true)
-          .machines;
-    }
-  }
-  return sweep_load_bound(release, deadline, processing, points,
-                          [](const Cap& c, const Cap& len) {
-                            if constexpr (std::is_same_v<Cap, Rat>) {
+    // Integer grid: run the int64 sweep kernel. Grid values fit int64 by
+    // the try_integer_grid guard; the kernel spills to the generic
+    // __int128 sweep internally if its tighter overflow guard rejects the
+    // instance. Bit-identical results either way.
+    auto narrow = [](const std::vector<__int128>& v) {
+      std::vector<std::int64_t> out(v.size());
+      for (std::size_t i = 0; i < v.size(); ++i)
+        out[i] = static_cast<std::int64_t>(v[i]);
+      return out;
+    };
+    return sweep_load_bound_i64(narrow(release), narrow(deadline),
+                                narrow(processing), narrow(points), stride,
+                                util::simd::supported())
+        .machines;
+  } else {
+    return sweep_load_bound(release, deadline, processing, points,
+                            [](const Rat& c, const Rat& len) {
                               return (c / len).ceil().to_int64();
-                            } else {
-                              return static_cast<std::int64_t>(
-                                  (c + len - 1) / len);
-                            }
-                          },
-                          stride)
-      .machines;
+                            },
+                            stride)
+        .machines;
+  }
 }
 
 template <typename Cap>
@@ -1027,19 +1012,15 @@ void FeasibilityOracle::Impl::normalize(const Instance& instance) {
   Impl& im = *this;
   const std::size_t n = instance.size();
 
-  // SIMD fast path: when every field is a small integer the grid is the
-  // values themselves, so the Rat event-point sort, the exact density
-  // division, and try_integer_grid's lcm/rescale are all replaced by int64
-  // scans. Falls through to the seed arithmetic on any non-small input;
-  // either way integer_mode, density_lb, and the built network match the
-  // seed path value for value.
-  IntegerGrid grid;
-  std::int64_t small_total = 0;
-  if (util::simd::active()) {
-    SmallGrid small = try_small_integer_grid(instance);
-    grid = std::move(small.grid);
-    small_total = small.total_work;
-  }
+  // Small-integer fast path: when every field is a small integer the grid
+  // is the values themselves, so the Rat event-point sort, the exact
+  // density division, and try_integer_grid's lcm/rescale are all replaced
+  // by int64 scans. Falls through to the exact-rational arithmetic on any
+  // non-small input; either way integer_mode, density_lb, and the built
+  // network are the same values.
+  SmallGrid small = try_small_integer_grid(instance);
+  IntegerGrid grid = std::move(small.grid);
+  const std::int64_t small_total = small.total_work;
   std::vector<Rat> points;
   if (!grid.usable) {
     points = instance.event_points();
@@ -1062,7 +1043,7 @@ void FeasibilityOracle::Impl::normalize(const Instance& instance) {
     if (points.empty()) {
       // Fast-path entry: the density bound from int64 values. ipoints is
       // the same set the Rat event points would form, so span and
-      // ceil(total/span) equal the seed's exact-rational results.
+      // ceil(total/span) equal the exact-rational results.
       const std::int64_t span = ipoints.back() - ipoints.front();
       if (span > 0) {
         const __int128 total = small_total;
@@ -1096,8 +1077,7 @@ void FeasibilityOracle::Impl::ensure_network() {
   // An edited oracle compacts retired slots away before any (re)build --
   // both layouts want dense all-live arrays -- and adopts the flat
   // splice-able layout so later edits patch in place. Never-edited oracles
-  // build the segment-tree layout. Either way the graph's level kernel
-  // follows the global SIMD dispatch (Dinic::reinit's default).
+  // build the segment-tree layout.
   if (dyn_mode) compact_slots();
   if (integer_mode) {
     if (dyn_mode)

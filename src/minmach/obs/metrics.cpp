@@ -106,8 +106,8 @@ Histogram& Registry::timing(const std::string& name) {
 
 bool is_exec_metric(std::string_view name) {
   static constexpr std::string_view kPrefixes[] = {
-      "oracle.", "flow.", "cache.", "bigint.", "rat.", "mem.", "simd.",
-      "profile.", "hist.", "bounds.", "dyn.", "store."};
+      "oracle.", "flow.",    "bigint.", "rat.",    "mem.",
+      "simd.",   "profile.", "hist.",   "bounds.", "dyn."};
   for (std::string_view prefix : kPrefixes) {
     if (name.substr(0, prefix.size()) == prefix) return true;
   }

@@ -29,12 +29,12 @@
 // counters that describe how the work was executed -- oracle probes, flow
 // passes, arithmetic/memory tallies, SIMD lane usage -- rather than what
 // was computed. A bound-tier sandwich (DESIGN.md §14) answers a probe
-// without the max flow and the arithmetic inside it, and the AVX2 bitmap
-// BFS visits fewer edges than the scalar one (§12), so these totals
-// legitimately depend on the --bounds and --simd modes; they live in
-// `Snapshot::exec_counters` / `exec_histograms` and are excluded from
-// to_json() by default, keeping run reports byte-identical across those
-// modes. Semantic metrics (adversary.*, sim.*, ...) remain in the
+// without the max flow and the arithmetic inside it, and the AVX2 sweep
+// kernel counts lanes that a build or CPU without AVX2 never runs (§12), so
+// these totals legitimately depend on --bounds and on the platform; they
+// live in `Snapshot::exec_counters` / `exec_histograms` and are excluded
+// from to_json() by default, keeping run reports byte-identical across
+// both. Semantic metrics (adversary.*, sim.*, ...) remain in the
 // deterministic sections and are still thread-count-invariant.
 #pragma once
 
@@ -101,8 +101,8 @@ void drain_hot_tallies();
 #define MINMACH_OBS_TALLY_ADD(field, delta) \
   (::minmach::obs::hot_tallies().field += (delta))
 #else
-// `delta` is still evaluated: call sites pass kernel calls whose side
-// effects are the point (util/simd.cpp).
+// `delta` is still evaluated, so an argument keeps its side effects and
+// its operands stay used.
 #define MINMACH_OBS_TALLY(field) ((void)0)
 #define MINMACH_OBS_TALLY_ADD(field, delta) ((void)(delta))
 #endif
@@ -220,11 +220,9 @@ class ScopedTimer {
 // True for metrics describing HOW work was executed (probe counts, flow
 // passes, arithmetic and memory tallies, SIMD lane usage, profiler spans,
 // latency histograms, bound-tier and dynamic-edit tallies): name prefixes
-// oracle. / flow. / cache. / bigint. / rat. / mem. / simd. / profile. /
-// hist. / bounds. / dyn. / store.. (cache. and store. name no tallies
-// since the OPT cache and the persistence tier were removed; the rule
-// keeps them execution-class.) Snapshots segregate these (see file
-// comment) because the SIMD mode and the bound tier move them.
+// oracle. / flow. / bigint. / rat. / mem. / simd. / profile. / hist. /
+// bounds. / dyn.. Snapshots segregate these (see file comment) because the
+// platform's SIMD support and the bound tier move them.
 // Classification is by name, not by a flag at registration, so a counter
 // read via Registry::counter("mem.x") in a bench lands in the same class
 // as one drained from hot tallies.

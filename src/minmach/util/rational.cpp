@@ -5,10 +5,8 @@
 #include <ostream>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "minmach/obs/metrics.hpp"
-#include "minmach/util/simd.hpp"
 
 namespace minmach {
 
@@ -342,21 +340,6 @@ std::ostream& operator<<(std::ostream& os, const Rat& value) {
 
 namespace rat_batch {
 
-namespace {
-
-// Scratch for the SoA extractions; thread_local so batch calls from the
-// parallel sweep harness never contend or allocate in steady state.
-struct BatchScratch {
-  std::vector<std::int64_t> a_num, a_den, b_num, b_den;
-};
-
-BatchScratch& scratch() {
-  static thread_local BatchScratch s;
-  return s;
-}
-
-}  // namespace
-
 bool to_i64(const Rat* values, std::size_t n, std::int64_t* out,
             std::int64_t max_abs) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -367,89 +350,6 @@ bool to_i64(const Rat* values, std::size_t n, std::int64_t* out,
     out[i] = x;
   }
   return true;
-}
-
-Rat sum(const Rat* values, std::size_t n, bool avx2) {
-  auto& s = scratch();
-  s.a_num.resize(n);
-  // Integer fast path: the sum of int64 integers is associative and
-  // exact, so lane-parallel accumulation matches sequential += bit for
-  // bit. One non-integer lane (or an int64 overflow) spills the batch.
-  if (to_i64(values, n, s.a_num.data(), INT64_MAX)) {
-    std::int64_t total = 0;
-    if (util::simd::sum_i64(s.a_num.data(), n, &total, avx2)) return Rat(total);
-  }
-  MINMACH_OBS_TALLY(simd_scalar_spills);
-  Rat acc;
-  for (std::size_t i = 0; i < n; ++i) acc += values[i];
-  return acc;
-}
-
-void less_than(const Rat* a, const Rat* b, std::size_t n, unsigned char* out,
-               bool avx2) {
-  constexpr std::int64_t kMax31 = (std::int64_t{1} << 31) - 1;
-  auto& s = scratch();
-  s.a_num.resize(n);
-  s.a_den.resize(n);
-  s.b_num.resize(n);
-  s.b_den.resize(n);
-  bool small = true;
-  for (std::size_t i = 0; i < n && small; ++i) {
-    const BigInt &an = a[i].num(), &ad = a[i].den();
-    const BigInt &bn = b[i].num(), &bd = b[i].den();
-    small = an.is_small() && ad.is_small() && bn.is_small() && bd.is_small();
-    if (!small) break;
-    s.a_num[i] = an.small_value();
-    s.a_den[i] = ad.small_value();
-    s.b_num[i] = bn.small_value();
-    s.b_den[i] = bd.small_value();
-    small = s.a_num[i] >= -kMax31 && s.a_num[i] <= kMax31 &&
-            s.b_num[i] >= -kMax31 && s.b_num[i] <= kMax31 &&
-            s.a_den[i] <= kMax31 && s.b_den[i] <= kMax31;
-  }
-  if (small) {
-    // a/b < c/d  <=>  a*d < c*b (denominators positive by Rat invariant);
-    // all components < 2^31, so the cross-products are exact in int64.
-    util::simd::rat31_less(s.a_num.data(), s.a_den.data(), s.b_num.data(),
-                           s.b_den.data(), n, out, avx2);
-    return;
-  }
-  MINMACH_OBS_TALLY(simd_scalar_spills);
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = static_cast<unsigned char>(a[i] < b[i]);
-}
-
-void make(const std::int64_t* num, const std::int64_t* den, std::size_t n,
-          Rat* out, bool avx2) {
-  if (n == 0) return;
-  // One vector prescan replaces three per-lane validity branches: any
-  // zero/negative denominator or INT64_MIN magnitude sends the whole
-  // batch through the checked Rat constructor (which throws on den == 0
-  // and canonicalizes INT64_MIN via BigInt, exactly as before).
-  std::int64_t num_min = 0, num_max = 0, den_min = 0, den_max = 0;
-  util::simd::minmax_i64(num, n, &num_min, &num_max, avx2);
-  util::simd::minmax_i64(den, n, &den_min, &den_max, avx2);
-  if (den_min <= 0 || num_min == INT64_MIN) {
-    MINMACH_OBS_TALLY(simd_scalar_spills);
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = Rat(BigInt(num[i]), BigInt(den[i]));
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    std::int64_t nv = num[i], dv = den[i];
-    if (nv == 0) {
-      out[i].num_ = BigInt(0);
-      out[i].den_ = BigInt(1);
-      continue;
-    }
-    const std::uint64_t g = gcd_u64(mag64(nv), static_cast<std::uint64_t>(dv));
-    if (g > 1) {
-      nv /= static_cast<std::int64_t>(g);
-      dv /= static_cast<std::int64_t>(g);
-    }
-    out[i].num_ = BigInt(nv);
-    out[i].den_ = BigInt(dv);
-  }
 }
 
 }  // namespace rat_batch

@@ -22,12 +22,7 @@ namespace minmach {
 
 class Rat;
 
-// Batched small-Rat kernels (DESIGN.md §12): process 4 inline-int64
-// rationals per step on the fast path, spilling to the element-wise
-// BigInt/Rat path only for lanes (or batches) that leave the small tier.
-// Results are bit-identical to the element-wise loops they replace; spills
-// are tallied as "simd.scalar_spills". The `avx2` flag pins the dispatch
-// (pass util::simd::active(); true requires util::simd::supported()).
+// Batch conversion for the integer-grid fast paths (DESIGN.md §12).
 namespace rat_batch {
 
 // Writes values[i] as int64 when EVERY element is a small integer
@@ -36,21 +31,6 @@ namespace rat_batch {
 // fast paths need: one failed lane means the batch must stay rational.
 [[nodiscard]] bool to_i64(const Rat* values, std::size_t n, std::int64_t* out,
                           std::int64_t max_abs);
-
-// Exact sum, identical to `Rat acc; for (...) acc += values[i];`.
-[[nodiscard]] Rat sum(const Rat* values, std::size_t n, bool avx2);
-
-// out[i] = (a[i] < b[i]). Four cross-multiplied compares per step when all
-// components fit int32; per-lane <=> spill otherwise.
-void less_than(const Rat* a, const Rat* b, std::size_t n, unsigned char* out,
-               bool avx2);
-
-// out[i] = canonical Rat num[i]/den[i] (throws std::domain_error on a zero
-// denominator, like the Rat constructor). A vector prescan proves the
-// batch free of the awkward cases (zero/negative denominators, INT64_MIN
-// magnitudes); the per-lane work is then a branchless sign fix + gcd.
-void make(const std::int64_t* num, const std::int64_t* den, std::size_t n,
-          Rat* out, bool avx2);
 
 }  // namespace rat_batch
 
@@ -110,10 +90,6 @@ class Rat {
   }
 
  private:
-  // rat_batch::make writes pre-canonicalized components directly.
-  friend void rat_batch::make(const std::int64_t* num, const std::int64_t* den,
-                              std::size_t n, Rat* out, bool avx2);
-
   void normalize();
 
   // True iff the value is exactly 1. When x is on the limb tier, `x *= 1`

@@ -1,18 +1,8 @@
 #include "minmach/util/simd.hpp"
 
-#include <algorithm>
-#include <atomic>
-
-#include "minmach/obs/metrics.hpp"
-
 namespace minmach::util::simd {
 
 namespace {
-
-std::atomic<Mode>& global_mode() {
-  static std::atomic<Mode> mode{Mode::kAuto};
-  return mode;
-}
 
 bool detect_cpu_avx2() {
 #if MINMACH_SIMD_COMPILE_AVX2
@@ -27,114 +17,6 @@ bool detect_cpu_avx2() {
 bool supported() {
   static const bool cached = detect_cpu_avx2();
   return cached;
-}
-
-Mode mode() { return global_mode().load(std::memory_order_relaxed); }
-
-void set_mode(Mode mode) {
-  global_mode().store(mode, std::memory_order_relaxed);
-}
-
-bool active() { return supported() && mode() != Mode::kScalar; }
-
-const char* mode_name(Mode mode) {
-  switch (mode) {
-    case Mode::kAuto:
-      return "auto";
-    case Mode::kAvx2:
-      return "avx2";
-    case Mode::kScalar:
-      return "scalar";
-  }
-  return "?";
-}
-
-bool parse_mode(std::string_view text, Mode* out) {
-  if (text == "auto") {
-    *out = Mode::kAuto;
-  } else if (text == "avx2") {
-    *out = Mode::kAvx2;
-  } else if (text == "scalar") {
-    *out = Mode::kScalar;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-void minmax_i64(const std::int64_t* v, std::size_t n, std::int64_t* min_out,
-                std::int64_t* max_out, bool avx2) {
-#if MINMACH_SIMD_COMPILE_AVX2
-  if (avx2) {
-    MINMACH_OBS_TALLY_ADD(simd_lanes_used,
-                          detail::minmax_i64_avx2(v, n, min_out, max_out));
-    return;
-  }
-#else
-  (void)avx2;
-#endif
-  std::int64_t mn = v[0], mx = v[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    mn = std::min(mn, v[i]);
-    mx = std::max(mx, v[i]);
-  }
-  *min_out = mn;
-  *max_out = mx;
-}
-
-bool sum_i64(const std::int64_t* v, std::size_t n, std::int64_t* out,
-             bool avx2) {
-  if (n == 0) {
-    *out = 0;
-    return true;
-  }
-#if MINMACH_SIMD_COMPILE_AVX2
-  if (avx2) {
-    // Lane-wise int64 adds are exact only when no intermediate wraps; a
-    // cheap sufficient condition is n * max|v| < 2^62. When it fails,
-    // spill to the wide-accumulator path below (same result when the sum
-    // fits, same `false` when it does not).
-    std::int64_t mn = 0, mx = 0;
-    minmax_i64(v, n, &mn, &mx, /*avx2=*/true);
-    const std::uint64_t bound =
-        std::max<std::uint64_t>(mx < 0 ? 0 : static_cast<std::uint64_t>(mx),
-                                mn == INT64_MIN
-                                    ? static_cast<std::uint64_t>(INT64_MAX) + 1
-                                    : static_cast<std::uint64_t>(mn < 0 ? -mn : 0));
-    if (bound != 0 && n < (std::uint64_t{1} << 62) / bound) {
-      MINMACH_OBS_TALLY_ADD(simd_lanes_used, detail::sum_i64_avx2(v, n, out));
-      return true;
-    }
-    if (bound == 0) {  // all zero
-      *out = 0;
-      return true;
-    }
-    MINMACH_OBS_TALLY(simd_scalar_spills);
-  }
-#else
-  (void)avx2;
-#endif
-  __int128 acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc += v[i];
-  if (acc > INT64_MAX || acc < INT64_MIN) return false;
-  *out = static_cast<std::int64_t>(acc);
-  return true;
-}
-
-void rat31_less(const std::int64_t* an, const std::int64_t* ad,
-                const std::int64_t* bn, const std::int64_t* bd, std::size_t n,
-                unsigned char* out, bool avx2) {
-#if MINMACH_SIMD_COMPILE_AVX2
-  if (avx2) {
-    MINMACH_OBS_TALLY_ADD(simd_lanes_used,
-                          detail::rat31_less_avx2(an, ad, bn, bd, n, out));
-    return;
-  }
-#else
-  (void)avx2;
-#endif
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = static_cast<unsigned char>(an[i] * bd[i] < bn[i] * ad[i]);
 }
 
 }  // namespace minmach::util::simd

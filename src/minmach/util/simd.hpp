@@ -1,30 +1,24 @@
-// Runtime-dispatched SIMD kernel layer (DESIGN.md §12).
+// SIMD dispatch (DESIGN.md §12): one gate, the build plus the CPU.
 //
 // Two build flavours, selected at CMake configure time via MINMACH_SIMD:
 //
-//  * auto / avx2: the AVX2 kernels are compiled into dedicated translation
-//    units (util/simd_avx2.cpp, core/load_sweep_avx2.cpp) built with -mavx2;
+//  * auto / avx2: the AVX2 kernels are compiled into a dedicated
+//    translation unit (core/load_sweep_avx2.cpp) built with -mavx2;
 //    everything else is built with the portable baseline flags, so a binary
 //    containing the kernels still RUNS on a non-AVX2 CPU -- the vector code
 //    is only entered after __builtin_cpu_supports("avx2") says yes.
-//  * scalar: the AVX2 translation units are excluded outright
+//  * scalar: the AVX2 translation unit is excluded outright
 //    (MINMACH_SIMD_COMPILE_AVX2=0) and every dispatch collapses to the
-//    scalar fallback. This is the CI leg for runners without AVX2.
+//    portable fallback. This is the CI leg for runners without AVX2.
 //
-// On top of the compile-time gate sits a process-global runtime mode
-// (set_mode), driven by the benches' --simd {auto,avx2,scalar} flag, so the
-// same binary can A/B both dispatches for differential testing. All kernels
-// are EXACT: a SIMD path either produces bit-identical results to its scalar
-// fallback or refuses the input (returns false / spills), in which case the
-// caller runs the fallback. Spills are tallied as "simd.scalar_spills",
-// vector work as "simd.lanes_used" -- both execution-class metrics
-// (obs::is_exec_metric), so run reports stay byte-identical across dispatch
-// modes.
+// Callers pass supported() as an explicit `use_avx2` argument to the
+// kernel they dispatch. Kernels are EXACT: a vector path produces results
+// bit-identical to its portable fallback or refuses the input (spills),
+// in which case the caller runs the fallback. Spills are tallied as
+// "simd.scalar_spills", vector work as "simd.lanes_used" -- both
+// execution-class metrics (obs::is_exec_metric), so run reports stay
+// byte-identical between a build or CPU with AVX2 and one without.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-#include <string_view>
 
 // CMake defines this PUBLIC on the minmach target; the fallback covers
 // ad-hoc compiles of the headers outside the build system.
@@ -38,72 +32,8 @@
 
 namespace minmach::util::simd {
 
-// Process-global dispatch mode. kAuto uses AVX2 whenever the build and the
-// CPU support it; kScalar forces the fallback everywhere (including the
-// bit-parallel non-intrinsic paths gated on active(), so "scalar" really
-// means "the seed's code paths"); kAvx2 is kAuto plus the caller's promise
-// that support was verified up front (bench::Run rejects --simd avx2 when
-// supported() is false).
-enum class Mode : int { kAuto = 0, kAvx2 = 1, kScalar = 2 };
-
-[[nodiscard]] constexpr bool compiled_avx2() {
-  return MINMACH_SIMD_COMPILE_AVX2 != 0;
-}
-
 // Cached __builtin_cpu_supports("avx2"); always false when the AVX2
-// translation units were compiled out.
+// translation unit was compiled out.
 [[nodiscard]] bool supported();
-
-[[nodiscard]] Mode mode();
-void set_mode(Mode mode);
-
-// True iff the accelerated paths should run: supported() and the global
-// mode is not kScalar. Every call site re-reads this, so flipping the mode
-// between measurements re-dispatches without rebuilding any state.
-[[nodiscard]] bool active();
-
-[[nodiscard]] const char* mode_name(Mode mode);
-// Parses "auto" / "avx2" / "scalar"; returns false on anything else.
-[[nodiscard]] bool parse_mode(std::string_view text, Mode* out);
-
-// ---- int64 array kernels ----------------------------------------------
-//
-// Each kernel takes an explicit `avx2` flag instead of consulting the
-// global mode so differential tests can pin either path; passing true
-// requires supported(). Results are exact and identical across paths.
-
-// Min and max of v[0..n). Precondition: n > 0.
-void minmax_i64(const std::int64_t* v, std::size_t n, std::int64_t* min_out,
-                std::int64_t* max_out, bool avx2);
-
-// Exact sum of v[0..n) when it fits int64: returns true and writes *out.
-// Returns false (no write) when the exact sum overflows int64 -- the
-// caller keeps its wide-accumulator fallback. The AVX2 path pre-checks
-// n * max|v| so its lane-wise adds provably cannot wrap.
-[[nodiscard]] bool sum_i64(const std::int64_t* v, std::size_t n,
-                           std::int64_t* out, bool avx2);
-
-// Lane-wise a_i < b_i for rationals a_i = an[i]/ad[i], b_i = bn[i]/bd[i].
-// Preconditions: denominators > 0 and every |value| < 2^31, so the
-// cross-products an*bd / bn*ad are exact in int64 (the AVX2 path computes
-// them with a 32x32->64 multiply). out[i] in {0,1}.
-void rat31_less(const std::int64_t* an, const std::int64_t* ad,
-                const std::int64_t* bn, const std::int64_t* bd, std::size_t n,
-                unsigned char* out, bool avx2);
-
-#if MINMACH_SIMD_COMPILE_AVX2
-// Implemented in util/simd_avx2.cpp (the -mavx2 translation unit). Each
-// returns the number of vector lanes it processed, which the dispatch
-// wrappers fold into the "simd.lanes_used" tally.
-namespace detail {
-std::uint64_t minmax_i64_avx2(const std::int64_t* v, std::size_t n,
-                              std::int64_t* min_out, std::int64_t* max_out);
-std::uint64_t sum_i64_avx2(const std::int64_t* v, std::size_t n,
-                           std::int64_t* out);
-std::uint64_t rat31_less_avx2(const std::int64_t* an, const std::int64_t* ad,
-                              const std::int64_t* bn, const std::int64_t* bd,
-                              std::size_t n, unsigned char* out);
-}  // namespace detail
-#endif
 
 }  // namespace minmach::util::simd

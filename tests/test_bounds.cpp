@@ -249,19 +249,5 @@ TEST(PrefilteredSweep, ExactOnUnambiguousArgmax) {
   }
 }
 
-// certified_lower_bound's parts obey their definitions on every family.
-TEST(CertifiedLowerBound, PartsAreConsistent) {
-  for (const Instance& instance : test_instances()) {
-    const LowerBoundParts parts = certified_lower_bound(instance);
-    if (instance.empty()) {
-      EXPECT_EQ(parts.machines, 0);
-      continue;
-    }
-    EXPECT_GE(parts.machines, 1);
-    EXPECT_EQ(parts.machines, std::max(parts.density, parts.sweep));
-    EXPECT_LE(parts.machines, reference::horn_optimal_machines(instance));
-  }
-}
-
 }  // namespace
 }  // namespace minmach

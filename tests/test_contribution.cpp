@@ -11,7 +11,6 @@
 #include "minmach/flow/feasibility.hpp"
 #include "minmach/gen/generators.hpp"
 #include "minmach/util/rng.hpp"
-#include "minmach/util/simd.hpp"
 #include "reference_horn.hpp"
 
 namespace minmach {
@@ -310,26 +309,16 @@ TEST(Theorem1Grid, ExhaustiveMatchesReferenceAtFifteenSegments) {
 }
 
 TEST(Theorem1Grid, SingleIntervalMatchesReferenceOnFractionalGrids) {
-  // The grid sweep must agree with the reference in both SIMD modes: the
-  // mode picks the kernel policy, never the arithmetic.
-  const util::simd::Mode saved = util::simd::mode();
-  for (const util::simd::Mode mode :
-       {util::simd::Mode::kAuto, util::simd::Mode::kScalar}) {
-    util::simd::set_mode(mode);
-    SCOPED_TRACE(util::simd::mode_name(mode));
-    for (const std::int64_t den : {2, 3, 4, 7}) {
-      Rng rng(static_cast<std::uint64_t>(den) * 31);
-      for (const std::size_t n : {6, 16}) {
-        for (const Family& family : all_families()) {
-          const auto horizon = 3 * static_cast<std::int64_t>(n);
-          const Instance in =
-              family.generate(rng, GenConfig{n, horizon, 8, den});
-          expect_single_interval_matches_reference(in);
-        }
+  for (const std::int64_t den : {2, 3, 4, 7}) {
+    Rng rng(static_cast<std::uint64_t>(den) * 31);
+    for (const std::size_t n : {6, 16}) {
+      for (const Family& family : all_families()) {
+        const auto horizon = 3 * static_cast<std::int64_t>(n);
+        const Instance in = family.generate(rng, GenConfig{n, horizon, 8, den});
+        expect_single_interval_matches_reference(in);
       }
     }
   }
-  util::simd::set_mode(saved);
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ TEST(PerfdiffClassify, ByLeafName) {
   EXPECT_EQ(classify_metric("rows[n=250].wall_speedup"),
             MetricClass::kHigherBetter);
   EXPECT_EQ(classify_metric("edge_visit_ratio"), MetricClass::kHigherBetter);
-  EXPECT_EQ(classify_metric("cache.hit_rate"), MetricClass::kHigherBetter);
+  EXPECT_EQ(classify_metric("rat_fast_hit_rate"), MetricClass::kHigherBetter);
   // Bound-tier effectiveness counters beat the "probes" count marker: work
   // avoided is higher-better, so a drop in pinches/skips is a regression.
   EXPECT_EQ(classify_metric("strong_lb_family.bounds.pinched"),
@@ -45,11 +45,12 @@ TEST(PerfdiffClassify, ByLeafName) {
             MetricClass::kHigherBetter);
   EXPECT_EQ(classify_metric("insert_heavy.dyn.edges_patched"),
             MetricClass::kCount);
-  // Persistent-store disk hits are probes the warm tier answered (work
-  // saved, beating the "hits" count marker); mmap/WAL volumes stay counts.
-  EXPECT_EQ(classify_metric("store.hits_disk"), MetricClass::kHigherBetter);
-  EXPECT_EQ(classify_metric("store.mmap_bytes"), MetricClass::kCount);
-  EXPECT_EQ(classify_metric("store.wal_appends"), MetricClass::kCount);
+  // No higher-better rule claims the other dyn.* counters or a plain hit
+  // tally: they stay counts.
+  EXPECT_EQ(classify_metric("insert_heavy.dyn.rebuilds"), MetricClass::kCount);
+  EXPECT_EQ(classify_metric("insert_heavy.dyn.drained_paths"),
+            MetricClass::kCount);
+  EXPECT_EQ(classify_metric("oracle.memo_hits"), MetricClass::kCount);
   EXPECT_EQ(classify_metric("rows[n=250].fast_edge_visits"),
             MetricClass::kCount);
   EXPECT_EQ(classify_metric("fast_probes"), MetricClass::kCount);

@@ -138,18 +138,11 @@ MetricClass classify_metric(const std::string& label) {
   if (contains(label, "dyn.") && leaf == "rebuilds_avoided") {
     return MetricClass::kHigherBetter;
   }
-  // Persistent-store effectiveness: every disk hit is a network probe the
-  // warm cache tier answered for free, so fewer is a regression. Checked
-  // before the count markers -- "hits" would otherwise classify
-  // store.hits_disk as a plain count.
-  if (contains(label, "store.") && leaf == "hits_disk") {
-    return MetricClass::kHigherBetter;
-  }
   static constexpr const char* kCountMarkers[] = {
       "probes",  "passes", "paths",  "edges",      "visits",   "rounds",
       "steals",  "allocs", "ops",    "spills",     "promotions",
       "count",   "builds", "hits",   "misses",     "segments", "retired",
-      "iterations", "repetitions", "bytes", "lanes", "appends"};
+      "iterations", "repetitions", "bytes", "lanes"};
   for (const char* marker : kCountMarkers) {
     if (contains(leaf, marker)) return MetricClass::kCount;
   }
