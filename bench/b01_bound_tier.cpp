@@ -1,36 +1,36 @@
 // B1 -- bound tier: the certified OPT sandwich (DESIGN.md section 14) in
-// front of the exact max-flow oracle, A/B'd via the global bounds gate on
-// the workloads the tier was built for.
+// front of the exact max-flow oracle, on the workloads the tier was built
+// for. Every oracle here is a never-edited batch oracle, so it consults the
+// sandwich; FeasibilityOracle::probe() gives the network's own verdict for
+// comparison.
 //
-// Three phases, each cross-checked for exact result equality:
+// Three phases:
 //
 //   strong-lb family : every recursion level of the Theorem 3 adversary,
-//       k = 2..levels, as level-slice sub-instances. Each slice's OPT is
-//       queried with the bound tier off and on, so every probe the tier
-//       does not answer is a real max-flow. Enforced:
-//       >= 70% of executed network probes eliminated with the tier on --
-//       the sandwich must pinch (lo == hi) on most slices, answering OPT
-//       with zero probes and no network build.
+//       k = 2..levels, as level-slice sub-instances, each queried for OPT
+//       once. Enforced: >= 70% of the queries are answered with zero
+//       network probes (the sandwich pinches, so OPT costs no network
+//       build), and the sandwich is computed exactly once per query.
 //   shrink sweep     : the Lemma 3 window-shrink body (4 gamma points,
 //       base + left-shrunk image per point) over a mixed base set: the
 //       complete k-level adversary game per k = 2..levels (rational
 //       windows, the paper's own hard instances) plus --trials random
 //       general instances of --sweep-n jobs (integer grids), so the sweep
-//       crosses both oracle modes end to end. Two back-to-back passes per
-//       mode. Enforced >= 1.5x end-to-end wall with the tier on
-//       at full size (recorded, not enforced, at smoke sizes -- wall
-//       ratios on tiny inputs measure the scheduler).
-//   exactness        : probe-for-probe differential against the exact
-//       tier -- for every instance of both families, OPT is computed once
-//       with the tier off, then for every m in [1, n] feasible(m) under
-//       the tier must equal m >= OPT, and the tier's OPT must match. The
-//       sandwich is certified on both sides, so any disagreement is a
-//       soundness bug, not a tolerance.
+//       crosses both oracle modes end to end. Two back-to-back passes of
+//       OPT queries, timed against two passes of the least a network-only
+//       search must do: probe(OPT) on a fresh oracle per query (one network
+//       build and one max flow). Enforced >= 1.5x end-to-end wall at full
+//       size (recorded, not enforced, at smoke sizes -- wall ratios on tiny
+//       inputs measure the scheduler).
+//   exactness        : for every shrink-sweep base, every left-shrunk
+//       image and every level slice, and every m in [1, n], feasible(m) must
+//       equal the network's probe(m), and OPT must be the least m the
+//       network accepts. The sandwich is certified on
+//       both sides, so any disagreement is a soundness bug, not a
+//       tolerance.
 //
-// The phases drive the tier through set_bounds_tier_enabled themselves
-// (the --bounds flag still parses; this driver A/Bs both modes in one
-// run). bounds.* tallies are execution-class, so --report bytes stay
-// identical whatever the tier does. Writes --out (BENCH_bounds.json).
+// bounds.* tallies are execution-class, so --report bytes do not depend on
+// what the tier answers. Writes --out (BENCH_bounds.json).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -41,7 +41,6 @@
 
 #include "bench/bench_common.hpp"
 #include "minmach/adversary/strong_lb.hpp"
-#include "minmach/core/bounds.hpp"
 #include "minmach/core/transforms.hpp"
 #include "minmach/flow/feasibility.hpp"
 #include "minmach/gen/generators.hpp"
@@ -81,17 +80,15 @@ AdversaryFamilies adversary_families(int levels) {
 }
 
 struct TierMeasurement {
-  std::uint64_t probes = 0;     // network probes actually executed
-  std::uint64_t pinched = 0;    // bounds.pinched registry delta
-  std::uint64_t computed = 0;   // bounds.computed registry delta
-  std::uint64_t checksum = 0;   // order-sensitive fold of the OPT values
+  std::uint64_t probes = 0;          // network probes actually executed
+  std::uint64_t zero_probe = 0;      // queries answered without a probe
+  std::uint64_t pinched = 0;         // bounds.pinched registry delta
+  std::uint64_t computed = 0;        // bounds.computed registry delta
   double wall_ms = 0.0;
 };
 
-// Queries every instance once, sequentially, with the bound tier gated as
-// requested.
-TierMeasurement run_tier(const std::vector<Instance>& family, bool bounds_on) {
-  set_bounds_tier_enabled(bounds_on);
+// Queries every instance's OPT once, sequentially.
+TierMeasurement run_tier(const std::vector<Instance>& family) {
   obs::Registry& registry = obs::Registry::global();
   obs::drain_hot_tallies();
   const std::uint64_t pinched0 = registry.counter("bounds.pinched").value();
@@ -101,36 +98,15 @@ TierMeasurement run_tier(const std::vector<Instance>& family, bool bounds_on) {
   const Clock::time_point start = Clock::now();
   for (const Instance& instance : family) {
     FeasibilityOracle oracle(instance);
-    const std::int64_t opt = oracle.optimal_machines();
+    (void)oracle.optimal_machines();
     out.probes += oracle.probes_executed();
-    out.checksum = out.checksum * 1099511628211ULL +
-                   static_cast<std::uint64_t>(opt);
+    if (oracle.probes_executed() == 0) ++out.zero_probe;
   }
   out.wall_ms = ms_since(start);
   obs::drain_hot_tallies();
   out.pinched = registry.counter("bounds.pinched").value() - pinched0;
   out.computed = registry.counter("bounds.computed").value() - computed0;
-  set_bounds_tier_enabled(false);
   return out;
-}
-
-// One pass of the e05-style window-shrink sweep body: per gamma point, OPT
-// of the base instance and of its left-shrunk image.
-std::uint64_t shrink_sweep_pass(const std::vector<Instance>& bases,
-                                const std::vector<Rat>& gammas) {
-  std::uint64_t checksum = 0;
-  for (const Rat& gamma : gammas) {
-    for (const Instance& base : bases) {
-      checksum = checksum * 1099511628211ULL +
-                 static_cast<std::uint64_t>(
-                     FeasibilityOracle(base).optimal_machines());
-      checksum = checksum * 1099511628211ULL +
-                 static_cast<std::uint64_t>(
-                     FeasibilityOracle(shrink_window_left(base, gamma))
-                         .optimal_machines());
-    }
-  }
-  return checksum;
 }
 
 }  // namespace
@@ -155,47 +131,40 @@ int main(int argc, char** argv) try {
   ctx.config("trials", static_cast<std::int64_t>(trials));
   ctx.config("seed", static_cast<std::int64_t>(seed));
 
-  // --- phase A: strong-lb family, probes eliminated ----------------------
+  // --- phase A: strong-lb family, queries answered without a probe -------
   AdversaryFamilies adversary = adversary_families(levels);
   const std::vector<Instance>& family = adversary.slices;
   std::size_t family_jobs = 0;
   for (const Instance& instance : family) family_jobs += instance.size();
-  const TierMeasurement off = run_tier(family, /*bounds_on=*/false);
-  const TierMeasurement on = run_tier(family, /*bounds_on=*/true);
-  bench::require(off.checksum == on.checksum,
-                 "strong-lb family: bound-tier OPT values disagree with exact");
+  const TierMeasurement tier = run_tier(family);
 
-  Table family_table({"mode", "queries", "probes", "pinched", "wall ms"});
-  family_table.add_row({"bounds-off", std::to_string(family.size()),
-                        std::to_string(off.probes), "-",
-                        Table::fmt(off.wall_ms, 2)});
-  family_table.add_row({"bounds-on", std::to_string(family.size()),
-                        std::to_string(on.probes), std::to_string(on.pinched),
-                        Table::fmt(on.wall_ms, 2)});
+  Table family_table(
+      {"queries", "0-probe queries", "probes", "pinched", "wall ms"});
+  family_table.add_row({std::to_string(family.size()),
+                        std::to_string(tier.zero_probe),
+                        std::to_string(tier.probes),
+                        std::to_string(tier.pinched),
+                        Table::fmt(tier.wall_ms, 2)});
   family_table.print(std::cout);
   ctx.table("strong-lb family (" + std::to_string(family.size()) +
                 " level slices, " + std::to_string(family_jobs) + " jobs)",
             family_table);
 
-  const double eliminated_share =
-      off.probes == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(on.probes) /
-                      static_cast<double>(off.probes);
-  ctx.check("strong-lb family: >= 70% of probes eliminated by the sandwich",
-            Table::fmt(eliminated_share, 3), ">= 0.70",
-            eliminated_share >= 0.70);
+  const double zero_probe_share =
+      family.empty() ? 0.0
+                     : static_cast<double>(tier.zero_probe) /
+                           static_cast<double>(family.size());
+  ctx.check("strong-lb family: >= 70% of queries answered with 0 probes",
+            Table::fmt(zero_probe_share, 3), ">= 0.70",
+            zero_probe_share >= 0.70);
   ctx.check("strong-lb family: sandwich computed once per query",
-            std::to_string(on.computed), std::to_string(family.size()),
-            on.computed == family.size());
-  ctx.check("strong-lb family: bounds-off ran the exact tier",
-            std::to_string(off.computed), "0", off.computed == 0);
+            std::to_string(tier.computed), std::to_string(family.size()),
+            tier.computed == family.size());
 
   // --- phase B: window-shrink sweep end-to-end wall ----------------------
   // Mixed bases: the full adversary game per level (rational mode, where
-  // exact probes pay BigInt arithmetic) plus random general instances
-  // (integer mode, SIMD grid). The sweep's wall time is dominated by
-  // whichever probes the tier fails to eliminate.
+  // network probes pay BigInt arithmetic) plus random general instances
+  // (integer mode, SIMD grid).
   Rng rng(seed);
   GenConfig config;
   config.n = sweep_n;
@@ -205,34 +174,45 @@ int main(int argc, char** argv) try {
     bases.push_back(gen_general(rng, config));
   const std::vector<Rat> gammas = {Rat(1, 4), Rat(1, 2), Rat(2, 3),
                                    Rat(4, 5)};
+  // Per gamma point, the base instance and its left-shrunk image.
+  std::vector<Instance> shrunk;
+  std::vector<Instance> queries;
+  for (const Rat& gamma : gammas) {
+    for (const Instance& base : bases) {
+      shrunk.push_back(shrink_window_left(base, gamma));
+      queries.push_back(base);
+      queries.push_back(shrunk.back());
+    }
+  }
 
   const int passes = 2;
-  auto run_sweep = [&](bool bounds_on, double& wall_ms) {
-    set_bounds_tier_enabled(bounds_on);
-    std::uint64_t checksum = 0;
-    const Clock::time_point start = Clock::now();
-    for (int pass = 0; pass < passes; ++pass) {
-      const std::uint64_t pass_sum = shrink_sweep_pass(bases, gammas);
-      bench::require(pass == 0 || pass_sum == checksum,
-                     "shrink sweep: passes disagree within one mode");
-      checksum = pass_sum;
-    }
-    wall_ms = ms_since(start);
-    set_bounds_tier_enabled(false);
-    return checksum;
-  };
-  double sweep_off_ms = 0.0, sweep_on_ms = 0.0;
-  const std::uint64_t sweep_off = run_sweep(/*bounds_on=*/false, sweep_off_ms);
-  const std::uint64_t sweep_on = run_sweep(/*bounds_on=*/true, sweep_on_ms);
-  bench::require(sweep_off == sweep_on,
-                 "shrink sweep: bound-tier results disagree with exact");
+  std::vector<std::int64_t> opts;
+  Clock::time_point start = Clock::now();
+  for (int pass = 0; pass < passes; ++pass) {
+    std::vector<std::int64_t> pass_opts;
+    pass_opts.reserve(queries.size());
+    for (const Instance& query : queries)
+      pass_opts.push_back(FeasibilityOracle(query).optimal_machines());
+    bench::require(pass == 0 || pass_opts == opts,
+                   "shrink sweep: passes disagree");
+    opts = std::move(pass_opts);
+  }
+  const double sweep_tier_ms = ms_since(start);
+  start = Clock::now();
+  for (int pass = 0; pass < passes; ++pass) {
+    for (std::size_t i = 0; i < queries.size(); ++i)
+      bench::require(FeasibilityOracle(queries[i]).probe(opts[i]),
+                     "shrink sweep: the network rejects the tier's OPT");
+  }
+  const double sweep_network_ms = ms_since(start);
 
-  const double sweep_speedup = sweep_off_ms / std::max(1e-9, sweep_on_ms);
-  Table sweep_table({"mode", "passes", "wall ms"});
-  sweep_table.add_row({"bounds-off", std::to_string(passes),
-                       Table::fmt(sweep_off_ms, 2)});
-  sweep_table.add_row({"bounds-on", std::to_string(passes),
-                       Table::fmt(sweep_on_ms, 2)});
+  const double sweep_speedup =
+      sweep_network_ms / std::max(1e-9, sweep_tier_ms);
+  Table sweep_table({"search", "passes", "wall ms"});
+  sweep_table.add_row({"OPT (bound tier)", std::to_string(passes),
+                       Table::fmt(sweep_tier_ms, 2)});
+  sweep_table.add_row({"probe(OPT) only", std::to_string(passes),
+                       Table::fmt(sweep_network_ms, 2)});
   sweep_table.print(std::cout);
   ctx.table("window-shrink sweep (4 gammas x " + std::to_string(bases.size()) +
                 " bases: " + std::to_string(adversary.full_games.size()) +
@@ -243,45 +223,44 @@ int main(int argc, char** argv) try {
   // the tier; the threshold binds only at full sweep size.
   const bool full_size = sweep_n >= 32 && levels >= 6;
   ctx.check(full_size
-                ? "shrink sweep: e2e wall speedup >= 1.5x with bound tier"
+                ? "shrink sweep: e2e wall speedup >= 1.5x over probe(OPT)"
                 : "shrink sweep: e2e wall speedup (recorded, smoke size)",
             Table::fmt(sweep_speedup, 2), full_size ? ">= 1.5" : "> 0",
             full_size ? sweep_speedup >= 1.5 : sweep_speedup > 0.0);
 
-  // --- phase C: probe-for-probe exactness vs the exact tier --------------
+  // --- phase C: verdict-for-verdict exactness vs the network -------------
   // Every verdict the tier hands out -- short-circuited, pinched, or
-  // probed inside the bracket -- must equal the exact oracle's, m by m:
-  // feasible(m) iff m >= OPT, with OPT from a tier-off run. The sandwich
-  // makes this an identity, not a bound.
+  // probed inside the bracket -- must equal the network's own, m by m, and
+  // OPT must be the least machine count the network accepts. The sweep's
+  // bases and every shrunk image are checked here, so an OPT the tier gets
+  // wrong in phase B cannot pass on phase B's one-sided probe alone.
   std::vector<Instance> exact_set = bases;
-  for (const Instance& instance : family) exact_set.push_back(instance);
-  std::vector<std::int64_t> exact_opt;
-  exact_opt.reserve(exact_set.size());
-  set_bounds_tier_enabled(false);
-  for (const Instance& instance : exact_set)
-    exact_opt.push_back(FeasibilityOracle(instance).optimal_machines());
-  set_bounds_tier_enabled(true);
+  exact_set.insert(exact_set.end(), shrunk.begin(), shrunk.end());
+  exact_set.insert(exact_set.end(), family.begin(), family.end());
   std::uint64_t probes_compared = 0;
   const std::uint64_t skipped0 =
       obs::Registry::global().counter("bounds.probes_skipped").value();
-  for (std::size_t i = 0; i < exact_set.size(); ++i) {
-    FeasibilityOracle tier(exact_set[i]);
-    const std::int64_t n = static_cast<std::int64_t>(exact_set[i].size());
+  for (const Instance& instance : exact_set) {
+    FeasibilityOracle tier_oracle(instance);
+    FeasibilityOracle network(instance);
+    const std::int64_t n = static_cast<std::int64_t>(instance.size());
+    std::int64_t least_accepted = 0;
     for (std::int64_t m = 1; m <= n; ++m) {
-      bench::require(tier.feasible(m) == (m >= exact_opt[i]),
+      const bool verdict = network.probe(m);
+      bench::require(tier_oracle.feasible(m) == verdict,
                      "exactness: feasible(" + std::to_string(m) +
-                         ") diverges from the exact tier");
+                         ") diverges from the network's probe");
+      if (verdict && least_accepted == 0) least_accepted = m;
       ++probes_compared;
     }
-    bench::require(tier.optimal_machines() == exact_opt[i],
-                   "exactness: OPT diverges from the exact tier");
+    bench::require(tier_oracle.optimal_machines() == least_accepted,
+                   "exactness: OPT diverges from the network");
   }
   obs::drain_hot_tallies();
   const std::uint64_t probes_skipped =
       obs::Registry::global().counter("bounds.probes_skipped").value() -
       skipped0;
-  set_bounds_tier_enabled(false);
-  ctx.check("exactness: probe-for-probe verdicts equal the exact tier",
+  ctx.check("exactness: verdict-for-verdict equal to the network's probe",
             std::to_string(probes_compared) + " probes", "all equal", true);
 
   // Machine-readable record (wall times included, so this file is NOT
@@ -297,15 +276,12 @@ int main(int argc, char** argv) try {
   json.key("levels").value(static_cast<std::int64_t>(levels));
   json.key("slices").value(static_cast<std::int64_t>(family.size()));
   json.key("jobs").value(static_cast<std::int64_t>(family_jobs));
-  json.key("probes_off").value(off.probes);
-  json.key("probes_on").value(on.probes);
-  json.key("eliminated_share").value(eliminated_share);
-  json.key("bounds").begin_object();
-  json.key("pinched").value(on.pinched);
-  json.key("probes_skipped").value(probes_skipped);
-  json.end_object();
-  json.key("wall_off_ms").value(off.wall_ms);
-  json.key("wall_on_ms").value(on.wall_ms);
+  json.key("probes").value(tier.probes);
+  json.key("zero_probe_share").value(zero_probe_share);
+  // Keyed by their registry counter names.
+  json.key("bounds.pinched").value(tier.pinched);
+  json.key("bounds.probes_skipped").value(probes_skipped);
+  json.key("wall_ms").value(tier.wall_ms);
   json.end_object();
   json.key("shrink_sweep").begin_object();
   json.key("gammas").value(static_cast<std::int64_t>(gammas.size()));
@@ -314,8 +290,8 @@ int main(int argc, char** argv) try {
   json.key("trials").value(static_cast<std::int64_t>(trials));
   json.key("n").value(static_cast<std::int64_t>(sweep_n));
   json.key("passes").value(static_cast<std::int64_t>(passes));
-  json.key("wall_off_ms").value(sweep_off_ms);
-  json.key("wall_on_ms").value(sweep_on_ms);
+  json.key("wall_tier_ms").value(sweep_tier_ms);
+  json.key("wall_network_ms").value(sweep_network_ms);
   json.key("speedup").value(sweep_speedup);
   json.key("threshold_enforced").value(full_size);
   json.end_object();

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "minmach/core/bounds.hpp"
 #include "minmach/obs/histogram.hpp"
 #include "minmach/obs/json.hpp"
 #include "minmach/obs/metrics.hpp"
@@ -61,20 +60,6 @@ inline int usage_error(const CliError& error) {
   return 2;
 }
 
-// Shared validation for the {on,off} driver flags (--profile, --bounds):
-// returns true for "on", and exits 2 with the uniform diagnostic on
-// anything else -- one implementation instead of a copy-pasted check per
-// flag.
-inline bool parse_onoff(Cli& cli, const std::string& flag, bool default_on) {
-  const std::string value = cli.get_string(flag, default_on ? "on" : "off");
-  if (value != "on" && value != "off") {
-    std::cerr << "error: --" << flag << " must be 'on' or 'off' (got '"
-              << value << "')\n";
-    std::exit(2);
-  }
-  return value == "on";
-}
-
 // Version tag for the BENCH_*.json artifacts the drivers emit. perfdiff
 // refuses artifacts without it (schema drift would otherwise surface as
 // spurious "regressions" when a metric is renamed).
@@ -100,17 +85,9 @@ inline void write_bench_stamp(obs::JsonWriter& json) {
 // destruction -- writes the machine-readable run report: config, result
 // tables, measured-vs-bound checks, and a metrics snapshot. The report
 // excludes wall-clock timings and reproducibility-neutral flags (--threads,
-// --report, --trace, --bounds), so its bytes are identical at any thread
-// count, with or without the AVX2 kernels, and with the bound tier on or
-// off (SIMD dispatch and bounds state only move execution-class metrics,
-// which snapshots segregate).
-//
-// Also reads --bounds {on,off} (default off) and sets the global bound-tier
-// gate (set_bounds_tier_enabled, DESIGN.md §14). Off keeps every driver
-// measuring the exact oracle alone -- the certified sandwich would answer
-// most probes for free, moving the committed baselines' probe counts;
-// b01_bound_tier turns it on explicitly. OPT values and verdicts are
-// identical either way.
+// --report, --trace), so its bytes are identical at any thread count and
+// with or without the AVX2 kernels (SIMD dispatch only moves
+// execution-class metrics, which snapshots segregate).
 //
 // Also reads --profile {on,off} (default off) and arms the span profiler +
 // latency histograms (DESIGN.md §13) for the run. Profiling only ADDS the
@@ -127,13 +104,13 @@ class Run {
       sink_ = std::make_unique<obs::TraceSink>(trace_path);
       obs::TraceSink::set_global(sink_.get());
     }
-    // Bound tier (--bounds, DESIGN.md §14): default OFF in the drivers --
-    // the library default is on, but the committed baselines and m01's
-    // edge-visit cost model measure the exact tier, which a sandwich that
-    // answers probes for free would collapse. b01_bound_tier A/Bs the tier
-    // explicitly.
-    set_bounds_tier_enabled(parse_onoff(cli, "bounds", false));
-    profiling_ = parse_onoff(cli, "profile", false);
+    const std::string profile = cli.get_string("profile", "off");
+    if (profile != "on" && profile != "off") {
+      std::cerr << "error: --profile must be 'on' or 'off' (got '" << profile
+                << "')\n";
+      std::exit(2);
+    }
+    profiling_ = profile == "on";
     profile_chrome_path_ = cli.get_string("profile-chrome", "");
     obs::Registry::global().reset();
     obs::LatencyRegistry::global().reset();
@@ -221,7 +198,6 @@ inline std::int64_t threads_flag(Cli& cli) {
 // The deterministic work-stealing scheduler lives in the library now
 // (util/parallel.hpp) so svc/ can shard sessions across it; these aliases
 // keep the drivers' and tests' bench:: spelling working unchanged.
-using util::Chunking;
 using util::ScheduleStats;
 using util::WorkerLoad;
 using util::parallel_map;

@@ -17,11 +17,11 @@
 // allocation events (deterministic at any thread count), the interposition
 // counts every malloc the C++ runtime actually performed.
 //
-// A fourth section compares Chunking::kStatic against kWorkStealing on a
-// deliberately skewed sweep (all expensive tasks land in worker 0's static
-// range): results must be byte-identical across 1 thread, 4 static and 4
-// stealing workers, and stealing must beat static on a modelled makespan
-// whose task costs are flow edge visits. Writes everything to --out
+// A fourth section runs the work-stealing scheduler on a deliberately
+// skewed sweep (all expensive tasks land in worker 0's initial range):
+// results must be byte-identical at 1 and 4 workers, and stealing must
+// beat static ranges on a modelled makespan whose task costs are the flow
+// edge visits of each task's probe(OPT). Writes everything to --out
 // (default BENCH_memory.json). The committed top-level BENCH_memory.json is
 // the historical A/B against the since-removed seed allocation profile;
 // point --out elsewhere to keep it.
@@ -274,30 +274,26 @@ int main(int argc, char** argv) try {
   }
 
   // --- scheduler comparison on a skewed sweep -------------------------------
-  // 16 tasks; the 4 expensive ones all sit in worker 0's static range, so
-  // static chunking serializes them on one worker while the others idle.
-  // Tasks seed their own Rng from the task index, so the result vector is a
-  // pure function of the index -- any schedule must reproduce it exactly.
+  // 16 tasks; the 4 expensive ones all sit in worker 0's initial range, so
+  // without stealing they would serialize on one worker while the others
+  // idle. Tasks seed their own Rng from the task index, so the result
+  // vector is a pure function of the index -- any schedule must reproduce
+  // it exactly.
   const std::size_t task_count = 16;
-  auto skewed_task = [&](std::size_t index) -> std::int64_t {
+  auto skewed_instance = [&](std::size_t index) {
     const bool heavy = index < 4;
     Rng rng(seed + index);
     GenConfig config;
     config.n = heavy ? sweep_n : 4;
-    Instance in = gen_general(rng, config);
-    return optimal_migratory_machines(in);
+    return gen_general(rng, config);
   };
-  auto serial = bench::parallel_map_scheduled(task_count, 1, skewed_task,
-                                              bench::Chunking::kStatic);
-  bench::ScheduleStats static_stats;
-  auto static_results = bench::parallel_map_scheduled(
-      task_count, 4, skewed_task, bench::Chunking::kStatic, &static_stats);
+  auto skewed_task = [&](std::size_t index) -> std::int64_t {
+    return optimal_migratory_machines(skewed_instance(index));
+  };
+  auto serial = bench::parallel_map_scheduled(task_count, 1, skewed_task);
   bench::ScheduleStats steal_stats;
-  auto steal_results = bench::parallel_map_scheduled(
-      task_count, 4, skewed_task, bench::Chunking::kWorkStealing,
-      &steal_stats);
-  bench::require(static_results == serial,
-                 "static 4-thread results differ from serial");
+  auto steal_results =
+      bench::parallel_map_scheduled(task_count, 4, skewed_task, &steal_stats);
   bench::require(steal_results == serial,
                  "work-stealing 4-thread results differ from serial");
 
@@ -305,18 +301,21 @@ int main(int argc, char** argv) try {
   // how the OS schedules the workers -- on a single-core host the first
   // running worker legitimately steals and executes almost everything, so
   // the share says nothing about the policy. Instead: cost each task by the
-  // flow edge visits its OPT search performs, then replay both chunking
-  // policies with ideal workers (zero steal overhead, deterministic
-  // lowest-clock-first order). flow.edge_visits is a registry counter, so
-  // the costs -- and the makespans -- are a property of the policy and the
-  // workload, the same on every run and in obs-off builds. Every task must
-  // probe, as at the defaults: with --bounds on a task can cost 0.
+  // flow edge visits of one probe(OPT) on a fresh oracle (a network build
+  // and one max flow; the production query may cost none when the bound
+  // sandwich pinches), then replay static ranges and stealing with ideal
+  // workers (zero steal overhead, deterministic lowest-clock-first order).
+  // flow.edge_visits is a registry counter, so the costs -- and the
+  // makespans -- are a property of the policy and the workload, the same on
+  // every run and in obs-off builds.
   obs::Counter& edge_visits =
       obs::Registry::global().counter("flow.edge_visits");
   std::vector<std::uint64_t> task_cost(task_count);
   for (std::size_t i = 0; i < task_count; ++i) {
+    FeasibilityOracle oracle(skewed_instance(i));
     const std::uint64_t before = edge_visits.value();
-    (void)skewed_task(i);
+    bench::require(oracle.probe(serial[i]),
+                   "skewed sweep: the network rejects the task's OPT");
     task_cost[i] = edge_visits.value() - before;
   }
   const std::size_t vworkers = 4;
@@ -369,18 +368,16 @@ int main(int argc, char** argv) try {
   const std::uint64_t static_makespan = model_makespan(/*stealing=*/false);
   const std::uint64_t steal_makespan = model_makespan(/*stealing=*/true);
 
-  const double static_share = static_stats.max_busy_share();
   const double steal_share = steal_stats.max_busy_share();
-  Table sched({"chunking", "model makespan (edge visits)",
+  Table sched({"schedule", "model makespan (edge visits)",
                "observed busy share", "steals"});
-  sched.add_row({"static", std::to_string(static_makespan),
-                 Table::fmt(static_share, 3), "0"});
+  sched.add_row({"static ranges", std::to_string(static_makespan), "-", "0"});
   sched.add_row({"work-stealing", std::to_string(steal_makespan),
                  Table::fmt(steal_share, 3),
                  std::to_string(steal_stats.total_steals())});
   sched.print(std::cout);
 
-  ctx.check("skewed sweep: results identical at 1/4 threads, both chunkings",
+  ctx.check("skewed sweep: results identical at 1/4 threads",
             "identical", "identical", true);
   ctx.check("skewed sweep: stealing happened",
             std::to_string(steal_stats.total_steals()), ">= 1",
@@ -415,7 +412,6 @@ int main(int argc, char** argv) try {
   json.key("tasks").value(static_cast<std::int64_t>(task_count));
   json.key("static_model_makespan_edge_visits").value(static_makespan);
   json.key("stealing_model_makespan_edge_visits").value(steal_makespan);
-  json.key("static_max_busy_share").value(static_share);
   json.key("stealing_max_busy_share").value(steal_share);
   json.key("steals").value(steal_stats.total_steals());
   json.key("deterministic").value(true);

@@ -26,8 +26,7 @@ struct Chunk {
 };
 
 // int64 twin of Chunk for the integer fast path: grants stay raw integers
-// through every pass and convert to Rat only if a schedule realization is
-// actually requested for the winning attempt.
+// through every pass and through the audit of the winning one.
 struct IChunk {
   std::size_t job;
   std::size_t segment;
@@ -163,8 +162,7 @@ bool small_int_fields(const Instance& instance, std::vector<std::int64_t>& r,
 // newly released jobs merge in and the retirement filter preserves order --
 // and no per-segment sort runs at all in EDF mode (LLF keys change with
 // `remaining`, so LLF still re-sorts a scratch copy). Grants are recorded
-// as raw IChunks; Rat conversion happens once, for the winning attempt, and
-// only if a schedule realization is requested.
+// as raw IChunks and audited as such (audit_chunks_i64).
 PackAttempt try_pack_i64(const std::vector<std::int64_t>& release,
                          const std::vector<std::int64_t>& deadline,
                          const std::vector<std::int64_t>& processing,
@@ -332,8 +330,7 @@ Schedule realize(const std::vector<Rat>& points, const PackAttempt& attempt) {
 
 }  // namespace
 
-PackUbResult pack_upper_bound(const Instance& instance,
-                              const PackUbOptions& options) {
+PackUbResult pack_upper_bound(const Instance& instance, std::int64_t start) {
   PackUbResult out;
   if (instance.empty()) return out;
   const std::int64_t n = static_cast<std::int64_t>(instance.size());
@@ -342,9 +339,7 @@ PackUbResult pack_upper_bound(const Instance& instance,
   obs::ProfileSpan span("bound_ub_pack");
 
   const std::vector<Rat> points = instance.event_points();
-  int budget = options.max_attempts > 0
-                   ? options.max_attempts
-                   : 2 * std::bit_width(static_cast<std::uint64_t>(n)) + 6;
+  int budget = 2 * std::bit_width(static_cast<std::uint64_t>(n)) + 6;
 
   // Integer fast path: passes run on raw int64 when every field is a small
   // integer (always true for oracle-materialized integer-mode instances).
@@ -376,7 +371,7 @@ PackUbResult pack_upper_bound(const Instance& instance,
 
   // Gallop the budget up from `start` (EDF, with one LLF retry at the
   // opening budget) until a pass succeeds; n always does.
-  const std::int64_t start = std::clamp<std::int64_t>(options.start, 1, n);
+  start = std::clamp<std::int64_t>(start, 1, n);
   std::int64_t m = start;
   bool success = false;
   while (budget > 0) {
@@ -384,8 +379,7 @@ PackUbResult pack_upper_bound(const Instance& instance,
       success = true;
       break;
     }
-    if (options.try_llf && m == start && budget > 0 &&
-        attempt(m, /*llf=*/true)) {
+    if (m == start && budget > 0 && attempt(m, /*llf=*/true)) {
       success = true;
       break;
     }
@@ -400,32 +394,22 @@ PackUbResult pack_upper_bound(const Instance& instance,
       const std::int64_t mid = floor + (best - floor) / 2;
       if (mid >= best) break;
       bool ok = attempt(mid, /*llf=*/false);
-      if (!ok && options.try_llf && budget > 0) ok = attempt(mid, /*llf=*/true);
+      if (!ok && budget > 0) ok = attempt(mid, /*llf=*/true);
       if (!ok) floor = mid + 1;
       // on success `best` (and the witness) were updated inside attempt().
     }
   }
 
   if (best_witness != PackWitness::kSingleton) {
-    // Audit the witness: the certificate is the audited schedule itself --
-    // realized and run through core/validate, or (opt-in, int64 path only)
-    // checked directly against the McNaughton conditions. An audit
-    // rejection (impossible by construction, kept as defense in depth)
-    // falls back to the trivial certificate instead of lying.
+    // Audit the witness: the int64 path checks the McNaughton conditions on
+    // its grants directly, the Rat path realizes the schedule and runs it
+    // through core/validate. An audit rejection (impossible by
+    // construction, kept as defense in depth) falls back to the trivial
+    // certificate instead of lying.
     obs::ProfileSpan audit_span("pack_audit");
-    bool audited;
-    if (use_i64 && !options.audit_schedule) {
-      audited = audit_chunks_i64(r64, d64, p64, pts64, best_attempt);
-    } else {
-      if (use_i64) {
-        best_attempt.chunks.reserve(best_attempt.ichunks.size());
-        for (const IChunk& chunk : best_attempt.ichunks)
-          best_attempt.chunks.push_back(
-              {chunk.job, chunk.segment, Rat(chunk.amount)});
-      }
-      const Schedule witness_schedule = realize(points, best_attempt);
-      audited = validate(instance, witness_schedule).ok;
-    }
+    const bool audited =
+        use_i64 ? audit_chunks_i64(r64, d64, p64, pts64, best_attempt)
+                : validate(instance, realize(points, best_attempt)).ok;
     if (audited) {
       out.machines = best;
       out.witness = best_witness;

@@ -6,10 +6,11 @@
 // min(L, remaining) to jobs in priority order -- earliest deadline first,
 // or least laxity first -- until the m*L capacity is spent. Granting at
 // most L per job per segment is exactly McNaughton's wrap-around condition,
-// so a successful pass realizes as a concrete migratory schedule, which is
-// then audited by core/validate. The certificate is therefore a feasible
-// schedule, never a heuristic estimate: pack_upper_bound's machine count is
-// a true upper bound on OPT for every input.
+// so a successful pass realizes as a concrete migratory schedule, and the
+// winning pass is audited as one (pack_upper_bound below). The certificate
+// is therefore a feasible schedule, never a heuristic estimate:
+// pack_upper_bound's machine count is a true upper bound on OPT for every
+// input.
 //
 // The packing is not exact (greedy fluid EDF/LLF can miss feasible budgets
 // the max flow certifies), so the driver gallops the machine budget up from
@@ -28,28 +29,6 @@
 
 namespace minmach {
 
-struct PackUbOptions {
-  // First machine budget to try; pass a certified lower bound so a success
-  // at `start` pinches the sandwich outright. Clamped into [1, n].
-  std::int64_t start = 1;
-  // Packing passes allowed across galloping + refinement; 0 means the
-  // default budget 2 * ceil(log2 n) + 6.
-  int max_attempts = 0;
-  // Retry a failed budget with the least-laxity order before giving up on
-  // it (LLF packs tight nested windows EDF starves, and vice versa).
-  bool try_llf = true;
-  // Audit mode for the winning pass. True: realize the McNaughton schedule
-  // and run it through core/validate (the strongest audit; always used on
-  // non-integer instances). False: on the int64 fast path, check the
-  // McNaughton realizability conditions directly on the chunks -- every
-  // chunk fits its segment and its job's window, every job receives exactly
-  // its processing time, no segment exceeds machines_used * length. These
-  // are precisely the facts validate() re-derives from the realized
-  // schedule, so the certificate is equally binding, without the Rat
-  // schedule construction; the oracle's sandwich uses this mode.
-  bool audit_schedule = true;
-};
-
 struct PackUbResult {
   // Certified upper bound on OPT: a feasible schedule on this many machines
   // exists (n for the trivial one-job-per-machine certificate, 0 for the
@@ -63,10 +42,25 @@ struct PackUbResult {
   bool validated = false;
 };
 
-// Certified upper bound on the migratory optimum of `instance`. Returns the
-// trivial n-machine certificate for a malformed instance (which no packing
-// can serve) and {0} for an empty one.
+// Certified upper bound on the migratory optimum of `instance`. `start` is
+// the first machine budget to try, clamped into [1, n]; pass a certified
+// lower bound so a success there pinches the sandwich outright. Each failed
+// EDF budget is retried with the least-laxity order (LLF packs tight nested
+// windows EDF starves, and vice versa) within the attempt budget
+// 2 * ceil(log2 n) + 6.
+//
+// The winning pass is audited before it certifies anything. On instances
+// whose fields are all small integers (every integer-mode oracle's) the
+// audit checks McNaughton's realizability conditions on the grants
+// directly: each grant fits its segment and its job's window, each job
+// receives exactly its processing time, and no segment exceeds
+// machines * length. These are exactly the facts core/validate re-derives
+// from the realized schedule, so the certificate is equally binding. Other
+// instances realize the schedule and run it through core/validate.
+//
+// Returns the trivial n-machine certificate for a malformed instance (which
+// no packing can serve) and {0} for an empty one.
 [[nodiscard]] PackUbResult pack_upper_bound(const Instance& instance,
-                                            const PackUbOptions& options = {});
+                                            std::int64_t start = 1);
 
 }  // namespace minmach

@@ -1,7 +1,6 @@
 #include "minmach/core/bounds.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -11,8 +10,6 @@
 namespace minmach {
 
 namespace {
-
-std::atomic<bool> g_bounds_tier_enabled{true};
 
 // Left-endpoint stride implementing the sweep budget (same rule as the
 // oracle's budgeted sweep: at most `budget` left endpoints are evaluated).
@@ -190,14 +187,6 @@ std::int64_t prefiltered_sweep_bound(const std::vector<Rat>& release,
       best = std::max(best, (work / (b - a)).ceil().to_int64());
   }
   return best;
-}
-
-void set_bounds_tier_enabled(bool enabled) {
-  g_bounds_tier_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool bounds_tier_enabled() {
-  return g_bounds_tier_enabled.load(std::memory_order_relaxed);
 }
 
 }  // namespace minmach

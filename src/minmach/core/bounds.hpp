@@ -11,7 +11,8 @@
 //   lo <= OPT <= hi;
 // when the sandwich pinches (lo == hi) the exact oracle returns OPT without
 // building a flow network at all, and otherwise the search starts from the
-// pre-narrowed bracket [lo, hi).
+// pre-narrowed bracket [lo, hi). The oracle consults it until its first
+// edit (flow/feasibility.hpp).
 #pragma once
 
 #include <cstddef>
@@ -64,14 +65,5 @@ struct BoundSandwich {
     const std::vector<Rat>& release, const std::vector<Rat>& deadline,
     const std::vector<Rat>& processing, const std::vector<Rat>& points,
     std::size_t left_budget = 256);
-
-// Process-wide runtime gate for the bound tier in FeasibilityOracle.
-// Defaults to enabled; the bench drivers default it OFF via --bounds so the
-// committed baselines keep measuring the exact tier alone
-// (bench/b01_bound_tier A/Bs the sandwich explicitly), and tests turn it
-// off to force network probes. Flip it from driver setup paths only -- it
-// is not synchronized against in-flight oracles.
-void set_bounds_tier_enabled(bool enabled);
-[[nodiscard]] bool bounds_tier_enabled();
 
 }  // namespace minmach

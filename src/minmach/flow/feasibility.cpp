@@ -1180,26 +1180,14 @@ const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
   std::int64_t lo = density_lb;
   {
     obs::ProfileSpan span("bound_lo");
-    if (dyn_mode) {
-      // Edited oracle: sweep the live view (same kernels, same values a
-      // fresh batch oracle of the live set would see).
-      if (integer_mode) {
-        const LiveArrays<__int128> v = live_view(inet, slot_live);
-        lo = std::max(lo, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points));
-      } else {
-        const LiveArrays<Rat> v = live_view(rnet, slot_live);
-        lo = std::max(lo, prefiltered_sweep_bound(v.release, v.deadline,
-                                                  v.processing, v.points));
-      }
-    } else {
-      lo = std::max(lo,
-                    integer_mode
-                        ? inet.sweep_bound()
-                        : prefiltered_sweep_bound(rnet.release, rnet.deadline,
-                                                  rnet.processing,
-                                                  rnet.points));
-    }
+    // Only bound_sandwich() reaches an edited oracle's sandwich (class
+    // comment); lower_bound() already sweeps its live view.
+    lo = dyn_mode ? lower_bound()
+                  : std::max(lo, integer_mode
+                                     ? inet.sweep_bound()
+                                     : prefiltered_sweep_bound(
+                                           rnet.release, rnet.deadline,
+                                           rnet.processing, rnet.points));
   }
   s.certificate.density_lb = density_lb;
   s.certificate.load_lb = lo;
@@ -1210,13 +1198,7 @@ const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
   // Upper side: constructive packing witness, opened at lo so a success
   // there pinches the sandwich outright.
   if (lo < hi) {
-    PackUbOptions pack_options;
-    pack_options.start = lo;
-    // Integer-mode instances take the packer's direct McNaughton audit:
-    // same certificate strength as realize+validate, without building a
-    // Rat schedule on every sandwich (see PackUbOptions::audit_schedule).
-    pack_options.audit_schedule = false;
-    const PackUbResult pack = pack_upper_bound(materialize(), pack_options);
+    const PackUbResult pack = pack_upper_bound(materialize(), lo);
     s.certificate.pack_machines = pack.machines;
     s.certificate.pack = pack.witness;
     hi = std::min(hi, pack.machines);
@@ -1605,10 +1587,11 @@ bool FeasibilityOracle::feasible(std::int64_t machines) {
     obs::Registry::global().counter("oracle.memo_hits").add();
     return machines >= im.min_feasible;
   }
-  if (bounds_tier_enabled()) {
-    // First sandwich use folds [lo, hi) into the memo, so only the
-    // triggering call lands here; later out-of-bracket probes are memo
-    // hits. Either way the answer is certified without touching Dinic.
+  if (!im.dyn_mode) {
+    // Never-edited oracle: the first sandwich use folds [lo, hi) into the
+    // memo, so only the triggering call lands here; later out-of-bracket
+    // probes are memo hits. Either way the answer is certified without
+    // touching Dinic. An edited oracle probes instead (class comment).
     const BoundSandwich& s = im.sandwich();
     if (machines < s.lo || machines >= s.hi) {
       obs::Registry::global().counter("bounds.probes_skipped").add();
@@ -1632,19 +1615,13 @@ std::int64_t FeasibilityOracle::load_lower_bound() const {
   return impl_->lower_bound();
 }
 
-BoundSandwich FeasibilityOracle::bound_sandwich() {
+BoundSandwich FeasibilityOracle::bound_sandwich() { return impl_->sandwich(); }
+
+bool FeasibilityOracle::probe(std::int64_t machines) {
   Impl& im = *impl_;
-  if (im.empty || !im.well_formed) return {};
-  if (bounds_tier_enabled()) return im.sandwich();
-  // Tier off: the degenerate bracket the pre-tier search used -- certified
-  // infeasible strictly below the load bound / memo floor, certified
-  // feasible at min_feasible (initially n, one job per machine).
-  BoundSandwich out;
-  out.certificate.load_lb = im.lower_bound();  // refreshes density_lb too
-  out.certificate.density_lb = im.density_lb;
-  out.lo = std::max(out.certificate.load_lb, im.max_infeasible + 1);
-  out.hi = im.min_feasible;
-  return out;
+  if (im.empty) return true;
+  if (machines <= 0 || !im.well_formed) return false;
+  return im.probe(machines);
 }
 
 std::uint64_t FeasibilityOracle::probes_executed() const {
@@ -1667,17 +1644,18 @@ std::int64_t FeasibilityOracle::optimal_machines() {
   obs::ProfileSpan opt_span("opt_search");
   // After an edit the memo shifts leave a bracket of at most two candidate
   // values (insert: +1 on the ceiling only; remove: -1 on the floor only),
-  // so neither the sweep bound nor the sandwich can rule out a probe the
-  // memo hasn't already -- and recomputing them per event is exactly the
-  // per-query rebuild cost the splice path exists to avoid. Skip both when
-  // the dynamic bracket is already that tight; never-edited oracles are
-  // unaffected (dyn_mode only turns on at the first edit).
+  // so the sweep bound cannot rule out a probe the memo hasn't already --
+  // and recomputing it per event is exactly the per-query rebuild cost the
+  // splice path exists to avoid. Skip it when the dynamic bracket is
+  // already that tight; never-edited oracles are unaffected (dyn_mode only
+  // turns on at the first edit).
   const bool memo_tight =
       im.dyn_mode && im.min_feasible - im.max_infeasible <= 2;
-  // Bound tier: the sandwich folds into the memo, so a pinched sandwich
-  // makes both loops below vacuous (OPT returned with zero probes and no
-  // network build) and an open one pre-narrows the bracket to [lo, hi).
-  if (bounds_tier_enabled() && !memo_tight) (void)im.sandwich();
+  // Bound tier, never-edited oracles only (class comment): the sandwich
+  // folds into the memo, so a pinched sandwich makes both loops below
+  // vacuous (OPT returned with zero probes and no network build) and an
+  // open one pre-narrows the bracket to [lo, hi).
+  if (!im.dyn_mode) (void)im.sandwich();
   obs::Registry& registry = obs::Registry::global();
   const std::int64_t lb =
       memo_tight ? im.max_infeasible + 1 : im.lower_bound();

@@ -33,8 +33,16 @@ struct FlowAllocation {
 // ascending probes warm-start from the previous flow, and the search opens
 // at the sweep load lower bound -- so OPT typically costs one network build
 // plus roughly one max-flow in total. Verdicts are memoized and feasible(m)
-// is monotone in m. There is one configuration; tests check it against an
-// independent dense Horn network (tests/reference_horn.hpp).
+// is monotone in m.
+//
+// Until its first insert_job/remove_job, the oracle also consults the
+// certified bound sandwich (core/bounds.hpp) before probing: when it
+// pinches, OPT costs no network at all. An edited oracle never consults it
+// again -- its memo shifts keep the bracket narrow and a warm probe after a
+// splice costs a few edge visits, while the sandwich would be recomputed
+// after every edit. There is one configuration and no switch; tests check
+// it against an independent dense Horn network (tests/reference_horn.hpp),
+// through probe() where they need the network's own verdict.
 class FeasibilityOracle {
  public:
   explicit FeasibilityOracle(const Instance& instance);
@@ -44,8 +52,16 @@ class FeasibilityOracle {
 
   // True iff the instance is feasible on `machines` migratory machines.
   // Memoized; probes the network only for verdicts not implied by
-  // monotonicity or by the certified load lower bound.
+  // monotonicity, the certified load lower bound or (never-edited oracles)
+  // the bound sandwich.
   [[nodiscard]] bool feasible(std::int64_t machines);
+
+  // The flow network's own verdict on `machines`: builds the network if
+  // needed and runs one max flow, without reading or updating the verdict
+  // memo and without the bound sandwich. Counts in probes_executed(). For
+  // tests and benches that need the network itself; feasible() is the
+  // production query.
+  [[nodiscard]] bool probe(std::int64_t machines);
 
   // ---- dynamic edits (DESIGN.md §15) ----------------------------------
   //
@@ -82,18 +98,14 @@ class FeasibilityOracle {
   // can be slightly below load_bound_single_interval().
   [[nodiscard]] std::int64_t load_lower_bound() const;
 
-  // The certified sandwich lo <= OPT <= hi (computed lazily on first use
-  // and folded into the verdict memo, so the oracle's own search also
-  // starts from it). With the global bound-tier gate off
-  // (bounds_tier_enabled()) returns the degenerate bracket the search
-  // opens with -- [max(load_lower_bound(), memo floor), min known
-  // feasible] -- so callers can seed searches uniformly. Empty instance:
-  // {0, 0}.
+  // The certified sandwich lo <= OPT <= hi (computed lazily on first use,
+  // recomputed after an edit, and folded into the verdict memo). Empty or
+  // malformed instance: {0, 0}.
   [[nodiscard]] BoundSandwich bound_sandwich();
 
-  // Network probes this oracle actually executed (memo hits and bound-tier
-  // short-circuits excluded). Exposed for the bound-tier A/B bench (b01)
-  // and the probe-parity tests.
+  // Network probes this oracle actually executed, probe() calls included
+  // (memo hits and bound-tier short-circuits excluded). Exposed for the
+  // bound-tier bench (b01) and the probe-parity tests.
   [[nodiscard]] std::uint64_t probes_executed() const;
 
  private:

@@ -31,10 +31,11 @@
 // was computed. A bound-tier sandwich (DESIGN.md §14) answers a probe
 // without the max flow and the arithmetic inside it, and the AVX2 sweep
 // kernel counts lanes that a build or CPU without AVX2 never runs (§12), so
-// these totals legitimately depend on --bounds and on the platform; they
-// live in `Snapshot::exec_counters` / `exec_histograms` and are excluded
-// from to_json() by default, keeping run reports byte-identical across
-// both. Semantic metrics (adversary.*, sim.*, ...) remain in the
+// these totals legitimately depend on whether an oracle consulted the
+// sandwich (never-edited oracles do, edited ones probe) and on the
+// platform; they live in `Snapshot::exec_counters` / `exec_histograms` and
+// are excluded from to_json() by default, keeping run reports
+// byte-identical across both. Semantic metrics (adversary.*, sim.*, ...) remain in the
 // deterministic sections and are still thread-count-invariant.
 #pragma once
 

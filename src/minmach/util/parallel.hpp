@@ -31,16 +31,6 @@ inline std::size_t resolve_threads(std::int64_t requested,
   return std::min(threads, std::max<std::size_t>(1, task_count));
 }
 
-// How parallel_map_scheduled distributes tasks over workers.
-enum class Chunking {
-  // Contiguous per-worker ranges; an idle worker steals the back half of
-  // the fullest remaining range. Default.
-  kWorkStealing,
-  // The same initial ranges with no stealing -- a worker that drains its
-  // range exits. Kept as the imbalance baseline for the memory bench.
-  kStatic,
-};
-
 // Per-worker execution statistics from one parallel_map_scheduled call.
 // Diagnostic only: wall-clock and steal counts depend on OS scheduling and
 // must never feed a run report (see bench::Run's determinism note).
@@ -84,7 +74,7 @@ struct StealRange {
 // results ordered by task index. Determinism contract: each task must be
 // self-contained (seed its own Rng, no shared mutable state), so the result
 // vector -- and therefore any table printed from it in index order -- is
-// byte-identical regardless of thread count or chunking mode. The scheduler
+// byte-identical regardless of thread count. The scheduler
 // only decides WHICH worker runs a task, never what the task computes, and
 // every result is written to its original index; per-thread obs tallies are
 // drained before each worker exits, so merged metric totals are identical
@@ -99,12 +89,10 @@ struct StealRange {
 // their locks, victim lock never held while taking its own) and moves the
 // back half of the fullest range into its own; when every range is empty it
 // exits. Skewed sweeps -- where one range holds all the expensive tasks --
-// therefore spread across workers instead of serializing on one, which
-// static chunking cannot do.
+// therefore spread across workers instead of serializing on one.
 template <typename Fn>
 auto parallel_map_scheduled(std::size_t task_count, std::size_t threads,
-                            Fn&& fn, Chunking chunking,
-                            ScheduleStats* stats = nullptr)
+                            Fn&& fn, ScheduleStats* stats = nullptr)
     -> std::vector<decltype(fn(std::size_t{0}))> {
   using Result = decltype(fn(std::size_t{0}));
   using Clock = std::chrono::steady_clock;
@@ -152,7 +140,6 @@ auto parallel_map_scheduled(std::size_t task_count, std::size_t threads,
           run_task(task, load);
           continue;
         }
-        if (chunking == Chunking::kStatic) break;
         // Steal the back half of the first non-empty range in scan order.
         // Taking from the back leaves the victim popping undisturbed at the
         // front, and releasing the victim's lock before touching our own
@@ -198,8 +185,7 @@ auto parallel_map_scheduled(std::size_t task_count, std::size_t threads,
 template <typename Fn>
 auto parallel_map(std::size_t task_count, std::size_t threads, Fn&& fn)
     -> std::vector<decltype(fn(std::size_t{0}))> {
-  return parallel_map_scheduled(task_count, threads, std::forward<Fn>(fn),
-                                Chunking::kWorkStealing, nullptr);
+  return parallel_map_scheduled(task_count, threads, std::forward<Fn>(fn));
 }
 
 }  // namespace minmach::util

@@ -2,8 +2,9 @@
 # (not abort) and name the offending flag on stderr. Covers a number that
 # does not span its token, an unknown flag, a value given after a space
 # instead of after '=', two flags of the removed OPT cache and its disk
-# tier, and the removed runtime SIMD mode (no driver reads these any more,
-# so they are refused like any unknown flag rather than silently ignored).
+# tier, the removed runtime SIMD mode and the removed bound-tier switch (no
+# driver reads these any more, so they are refused like any unknown flag
+# rather than silently ignored).
 #
 # Invoked by ctest with -DE02=<path> -DF01=<path>.
 foreach(var E02 F01)
@@ -35,5 +36,6 @@ check(--levels ${F01} --levels 3)
 check(--cache ${E02} --cache=on)
 check(--cache-file ${F01} --cache-file=x.mmcache)
 check(--simd ${E02} --simd=scalar)
+check(--bounds ${E02} --bounds=on)
 
 message(STATUS "malformed flags exit 2 with the flag named")

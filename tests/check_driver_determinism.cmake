@@ -4,11 +4,6 @@
 # The --report JSON is held to the same standard: metrics aggregation is
 # commutative (sums, min/max, bucket bins) and hot tallies are drained by
 # every worker, so the snapshot must not depend on the thread count.
-# Two further legs repeat the run with --bounds=on at both thread counts:
-# the certified bound sandwich only decides how OPT is found, never its
-# value, and its tallies are execution-class metrics segregated out of
-# reports, so stdout and report bytes must match the default (bound tier
-# off) run too.
 # Invoked by ctest with -DDRIVER=<path-to-binary> [-DEXTRA_ARGS=...].
 if(NOT DEFINED DRIVER)
   message(FATAL_ERROR "DRIVER not set")
@@ -54,33 +49,5 @@ if(NOT json_single STREQUAL json_parallel)
     "--- threads=4 ---\n${json_parallel}")
 endif()
 
-foreach(bounds_threads 1 4)
-  set(report_bounds
-    ${CMAKE_CURRENT_BINARY_DIR}/${driver_name}_report_bounds_t${bounds_threads}.json)
-  execute_process(
-    COMMAND ${DRIVER} ${args} --threads=${bounds_threads} --bounds=on
-            --report=${report_bounds}
-    OUTPUT_VARIABLE out_bounds
-    RESULT_VARIABLE rc_bounds)
-  if(NOT rc_bounds EQUAL 0)
-    message(FATAL_ERROR
-      "${DRIVER} --bounds=on --threads=${bounds_threads} exited with ${rc_bounds}")
-  endif()
-  if(NOT out_bounds STREQUAL out_single)
-    message(FATAL_ERROR
-      "driver output differs with --bounds=on at --threads=${bounds_threads}:\n"
-      "--- bounds=off threads=1 ---\n${out_single}\n"
-      "--- bounds=on threads=${bounds_threads} ---\n${out_bounds}")
-  endif()
-  file(READ ${report_bounds} json_bounds)
-  if(NOT json_bounds STREQUAL json_single)
-    message(FATAL_ERROR
-      "--report JSON differs with --bounds=on at --threads=${bounds_threads}:\n"
-      "--- bounds=off threads=1 ---\n${json_single}\n"
-      "--- bounds=on threads=${bounds_threads} ---\n${json_bounds}")
-  endif()
-endforeach()
-
 message(STATUS
-  "driver output and report JSON byte-identical at 1 and 4 threads, "
-  "bound tier off and on")
+  "driver output and report JSON byte-identical at 1 and 4 threads")

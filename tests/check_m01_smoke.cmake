@@ -1,8 +1,8 @@
 # Bench smoke for the memory substrate driver. Two halves:
 #
 #  1. Run a tiny m01_memory_substrate. The driver enforces its own checks
-#     (e04/e05 registry-silent, byte-identical skewed sweep across thread
-#     counts and chunkings, stealing below 0.75x static on the edge-visit
+#     (e04/e05 registry-silent, byte-identical skewed sweep at 1 and 4
+#     workers, stealing below 0.75x static ranges on the edge-visit
 #     makespan model), so a non-zero exit here is the failure signal.
 #  2. --sweep-n below 4 must be refused with exit 2 and a diagnostic naming
 #     the flag. The TIMEOUT turns a hang (e04's doubling sweep starting at

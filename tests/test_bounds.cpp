@@ -1,10 +1,10 @@
 // Differential tests for the bound tier (DESIGN.md §14): the certified
 // sandwich lo <= OPT <= hi must be sound on every instance family, the
-// bounds-on oracle must agree probe for probe with an independent dense
-// Horn network (reference_horn.hpp), the packing upper bound must hold
-// under both audit modes, and the
-// prefiltered rational sweep must never exceed the exact single-interval
-// bound it approximates.
+// oracle must agree probe for probe with an independent dense Horn network
+// (reference_horn.hpp), the packing upper bound must certify the same
+// witness on the int64 path (direct audit) and the Rat path (realize +
+// validate), and the prefiltered rational sweep must never exceed the
+// exact single-interval bound it approximates.
 #include "minmach/core/bounds.hpp"
 
 #include <gtest/gtest.h>
@@ -90,11 +90,10 @@ std::vector<Instance> test_instances() {
 // internally consistent: density <= load lower bound <= lo, and the packing
 // witness is never below hi.
 TEST(BoundSandwich, SoundOnAllFamilies) {
-  ASSERT_TRUE(bounds_tier_enabled());
   for (const Instance& instance : test_instances()) {
     const std::int64_t opt = reference::horn_optimal_machines(instance);
 
-    FeasibilityOracle oracle(instance);  // bound tier on (library default)
+    FeasibilityOracle oracle(instance);
     const BoundSandwich sandwich = oracle.bound_sandwich();
     EXPECT_LE(sandwich.lo, opt) << "n=" << instance.size();
     EXPECT_LE(opt, sandwich.hi) << "n=" << instance.size();
@@ -142,49 +141,45 @@ TEST(BoundSandwich, CounterexamplePinchesAtSweepNotDensity) {
   EXPECT_EQ(oracle.probes_executed(), 0u);  // pinched: no flow network
 }
 
-// The runtime gate turns the tier off without changing any verdict. The
-// instance needs n > OPT so the memo's trivial n-machine witness does not
-// pinch on its own: the counterexample plus a light disjoint job. With the
-// tier off the sweep bound still opens the search at 3 but feasible(3)
-// must be probed through the flow; with the tier on the packing witness at
-// 3 pinches the sandwich and no network is ever built.
-TEST(BoundSandwich, GlobalGateDisablesTierButNotAnswers) {
+// A pinched sandwich answers without the network, and the network it
+// skipped agrees. The instance needs n > OPT so the memo's trivial
+// n-machine witness does not pinch on its own: the counterexample plus a
+// light disjoint job. The sweep bound certifies 3 and the packing witness
+// at 3 pinches the sandwich, so a fresh oracle answers OPT with no probe;
+// probe() on the same instance still runs the flow, which must reject 2
+// machines and accept 3.
+TEST(BoundSandwich, PinchedSandwichAgreesWithTheNetwork) {
   const Instance instance({mk(0, 2, 2), mk(0, 1, 1), mk(0, 1, 1),
                            mk(10, 12, 1)});
-  set_bounds_tier_enabled(false);
-  FeasibilityOracle gated(instance);
-  EXPECT_EQ(gated.optimal_machines(), 3);
-  EXPECT_GT(gated.probes_executed(), 0u);  // tier off: the flow ran
-  set_bounds_tier_enabled(true);
-  FeasibilityOracle on(instance);
-  EXPECT_EQ(on.optimal_machines(), 3);
-  EXPECT_EQ(on.probes_executed(), 0u);
-  const BoundSandwich sandwich = on.bound_sandwich();
+  FeasibilityOracle oracle(instance);
+  EXPECT_EQ(oracle.optimal_machines(), 3);
+  EXPECT_EQ(oracle.probes_executed(), 0u);
+  const BoundSandwich sandwich = oracle.bound_sandwich();
   EXPECT_TRUE(sandwich.pinched());
   EXPECT_EQ(sandwich.certificate.pack_machines, 3);
   EXPECT_NE(sandwich.certificate.pack, PackWitness::kSingleton);
+  EXPECT_FALSE(oracle.probe(2));
+  EXPECT_TRUE(oracle.probe(3));
+  EXPECT_EQ(oracle.probes_executed(), 2u);
 }
 
-// Both audit modes certify the same packing: the direct McNaughton-condition
-// audit on the int64 fast path is checking exactly the facts core/validate
-// re-derives from the realized schedule, so the winning machine count and
-// its validity must coincide.
+// The int64 path's direct McNaughton audit and the Rat path's realize +
+// validate certify the same packing: the greedy passes are invariant under
+// uniform time scaling, so an instance and its rational-mode scaling must
+// pack to the same machine count and witness, each audited its own way.
 TEST(PackUpperBound, AuditModesAgree) {
   for (const Instance& instance : test_instances()) {
     if (instance.empty()) continue;
     const std::int64_t opt = reference::horn_optimal_machines(instance);
-    PackUbOptions schedule_audit;
-    schedule_audit.audit_schedule = true;
-    PackUbOptions direct_audit;
-    direct_audit.audit_schedule = false;
-    const PackUbResult via_schedule = pack_upper_bound(instance, schedule_audit);
-    const PackUbResult via_chunks = pack_upper_bound(instance, direct_audit);
-    EXPECT_GE(via_schedule.machines, opt);
-    EXPECT_EQ(via_schedule.machines, via_chunks.machines);
-    EXPECT_EQ(via_schedule.witness, via_chunks.witness);
-    if (via_schedule.witness != PackWitness::kSingleton) {
-      EXPECT_TRUE(via_schedule.validated);
-      EXPECT_TRUE(via_chunks.validated);
+    const PackUbResult direct = pack_upper_bound(instance);
+    const PackUbResult realized =
+        pack_upper_bound(force_rational_mode(instance));
+    EXPECT_GE(direct.machines, opt);
+    EXPECT_EQ(direct.machines, realized.machines);
+    EXPECT_EQ(direct.witness, realized.witness);
+    if (direct.witness != PackWitness::kSingleton) {
+      EXPECT_TRUE(direct.validated);
+      EXPECT_TRUE(realized.validated);
     }
   }
 }
@@ -196,9 +191,7 @@ TEST(PackUpperBound, AuditModesAgree) {
 TEST(PackUpperBound, StartAtLowerBoundIsHonored) {
   const Instance instance({mk(0, 2, 2), mk(0, 1, 1), mk(0, 1, 1),
                            mk(10, 12, 1)});
-  PackUbOptions options;
-  options.start = 3;
-  const PackUbResult result = pack_upper_bound(instance, options);
+  const PackUbResult result = pack_upper_bound(instance, /*start=*/3);
   EXPECT_EQ(result.machines, 3);
   EXPECT_TRUE(result.validated);
   EXPECT_NE(result.witness, PackWitness::kSingleton);

@@ -1,9 +1,9 @@
 // Differential tests for the fully-dynamic FeasibilityOracle (DESIGN.md
 // section 15) and the svc session layer: every edit sequence, over every
 // instance family, must agree with an independent dense Horn network on the
-// live job set (reference_horn.hpp) -- OPT and verdicts -- and (tier off)
-// it must never execute more probes per query than a from-scratch batch
-// oracle.
+// live job set (reference_horn.hpp) -- OPT and verdicts -- and it must
+// never execute more probes per query than the same search from a cold
+// memo.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "minmach/core/bounds.hpp"
 #include "minmach/core/instance.hpp"
 #include "minmach/core/transforms.hpp"
 #include "minmach/flow/feasibility.hpp"
@@ -239,18 +238,17 @@ TEST(DynamicOracle, EditErrors) {
 }
 
 TEST(DynamicOracle, ProbeParityWithBatch) {
-  // Audit: with the bound tier off, the dynamic oracle's memo shifts keep
-  // the post-edit bracket so tight that a query never needs MORE executed
-  // probes than a cold batch oracle answering the same question. (Force
-  // the tier gate off for the audit and restore it after.)
-  set_bounds_tier_enabled(false);
+  // Audit: the dynamic oracle's memo shifts keep the post-edit bracket so
+  // tight that a query never needs MORE executed probes than the same
+  // tier-free search from a cold memo: a fresh oracle built by inserting
+  // the live set (an edited oracle never consults the bound sandwich).
   Rng rng(83);
   const Instance base = gen_general(rng, {10, 60, 16, 2});
   FeasibilityOracle oracle(base);
   Mirror mirror;
   for (JobId id = 0; id < base.size(); ++id) mirror.insert(id, base.job(id));
   (void)oracle.optimal_machines();  // settle the initial memo
-  std::uint64_t dynamic_probes = 0, batch_probes = 0;
+  std::uint64_t dynamic_probes = 0, cold_probes = 0;
   for (int e = 0; e < 20; ++e) {
     if (mirror.live.empty() || rng.bernoulli(0.6)) {
       const Instance one = gen_general(rng, {1, 60, 16, 4});
@@ -263,26 +261,27 @@ TEST(DynamicOracle, ProbeParityWithBatch) {
       mirror.remove(mirror.live[pick].first);
     }
     const std::uint64_t before = oracle.probes_executed();
-    FeasibilityOracle batch(mirror.instance());
-    ASSERT_EQ(oracle.optimal_machines(), batch.optimal_machines());
+    const Instance live = mirror.instance();
+    FeasibilityOracle cold{Instance{}};
+    for (const Job& job : live.jobs()) (void)cold.insert_job(job);
+    ASSERT_EQ(oracle.optimal_machines(), cold.optimal_machines());
     const std::uint64_t dyn_q = oracle.probes_executed() - before;
-    ASSERT_LE(dyn_q, std::max<std::uint64_t>(batch.probes_executed(), 1))
+    ASSERT_LE(dyn_q, std::max<std::uint64_t>(cold.probes_executed(), 1))
         << "edit " << e;
     dynamic_probes += dyn_q;
-    batch_probes += batch.probes_executed();
+    cold_probes += cold.probes_executed();
   }
-  EXPECT_LE(dynamic_probes, batch_probes);
-  set_bounds_tier_enabled(true);
+  EXPECT_LE(dynamic_probes, cold_probes);
 }
 
 TEST(DynamicOracle, RejectedRemoveLeavesOracleUnchanged) {
   // A remove_job that throws must not count as a remove or move a
-  // never-edited oracle off the segment-tree layout: its next OPT builds
-  // exactly the network a fresh oracle builds. Tier off so OPT needs the
-  // network at all.
-  set_bounds_tier_enabled(false);
+  // never-edited oracle off the segment-tree layout: its next probe builds
+  // exactly the network a fresh oracle builds. probe(OPT) forces the build,
+  // which the bound sandwich might otherwise skip.
   Rng rng(77);
   const Instance base = gen_general(rng, {25, 80, 20, 2});
+  const std::int64_t opt = reference::horn_optimal_machines(base);
   struct Tallies {
     std::uint64_t removes, rebuilds, tree_edges;
   };
@@ -298,8 +297,8 @@ TEST(DynamicOracle, RejectedRemoveLeavesOracleUnchanged) {
     if (reject_first) {
       EXPECT_THROW(oracle.remove_job(999), std::invalid_argument);
     }
-    EXPECT_EQ(oracle.optimal_machines(),
-              reference::horn_optimal_machines(base));
+    EXPECT_TRUE(oracle.probe(opt));
+    EXPECT_EQ(oracle.optimal_machines(), opt);
     EXPECT_EQ(oracle.live_jobs(), static_cast<std::int64_t>(base.size()));
     const Tallies after = read();
     return Tallies{after.removes - before.removes,
@@ -312,7 +311,6 @@ TEST(DynamicOracle, RejectedRemoveLeavesOracleUnchanged) {
   EXPECT_EQ(rejected.removes, fresh.removes);
   EXPECT_EQ(rejected.rebuilds, fresh.rebuilds);
   EXPECT_EQ(rejected.tree_edges, fresh.tree_edges);
-  set_bounds_tier_enabled(true);
 }
 
 // ---- svc: session + engine + replay -----------------------------------

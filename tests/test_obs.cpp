@@ -280,12 +280,13 @@ TEST(Metrics, SimdDispatchInvarianceOfSemanticSnapshots) {
 }
 
 // The bound tier only moves bounds.* / oracle.* execution-class tallies:
-// the same OPT computation with the sandwich on and off must produce
-// byte-identical semantic report JSON (bounds.* routes through
-// is_exec_metric like simd.*), while the tier-on run records
-// pinches and skipped probes the tier-off run cannot. The tier's tallies
-// are also a pure function of the instance set, so they merge identically
-// at any thread count.
+// the same OPT computation by batch oracles (which consult the sandwich)
+// and by oracles built by inserting the same jobs into an empty one (which,
+// being edited, never do) must produce byte-identical semantic report JSON
+// (bounds.* routes through is_exec_metric like simd.*), while only the
+// batch run computes sandwiches. The tier's tallies are also a pure
+// function of the instance set, so they merge identically at any thread
+// count.
 TEST(Metrics, BoundTierInvarianceOfSemanticSnapshots) {
   EXPECT_TRUE(is_exec_metric("bounds.computed"));
   EXPECT_TRUE(is_exec_metric("bounds.pinched"));
@@ -293,50 +294,56 @@ TEST(Metrics, BoundTierInvarianceOfSemanticSnapshots) {
   EXPECT_TRUE(is_exec_metric("bounds.bracket_width"));
   EXPECT_TRUE(is_exec_metric("hist.bound_ns"));
 
-  const bool saved = bounds_tier_enabled();
   Rng rng(131);
   std::vector<Instance> instances;
   for (int i = 0; i < 8; ++i)
     instances.push_back(gen_general(rng, GenConfig{24, 60, 16, 3}));
-  auto run = [&](bool bounds_on, std::size_t threads) {
-    set_bounds_tier_enabled(bounds_on);
+  auto run = [&](bool batch, std::size_t threads) {
     Registry& r = Registry::global();
     (void)r.snapshot();  // drain residue from earlier tests
     r.reset();
     std::vector<std::int64_t> opts =
         bench::parallel_map(instances.size(), threads, [&](std::size_t i) {
-          FeasibilityOracle oracle(instances[i]);
-          return oracle.optimal_machines();
+          if (batch) return FeasibilityOracle(instances[i]).optimal_machines();
+          FeasibilityOracle edited{Instance{}};
+          for (const Job& job : instances[i].jobs())
+            (void)edited.insert_job(job);
+          return edited.optimal_machines();
         });
     Registry& reg = Registry::global();
     for (std::size_t i = 0; i < opts.size(); ++i)
       reg.counter("test.opt_sum").add(static_cast<std::uint64_t>(opts[i]));
     return reg.snapshot();
   };
-  Snapshot off = run(false, 1);
-  Snapshot on = run(true, 1);
-  Snapshot on_parallel = run(true, 4);
-  set_bounds_tier_enabled(saved);
+  Snapshot tier = run(true, 1);
+  Snapshot tier_parallel = run(true, 4);
+  Snapshot no_tier = run(false, 1);
+  Snapshot no_tier_parallel = run(false, 4);
   // Same answers, byte-identical semantic report either way.
-  EXPECT_EQ(off.counters.at("test.opt_sum"), on.counters.at("test.opt_sum"));
-  EXPECT_EQ(off.to_json(), on.to_json());
+  EXPECT_EQ(no_tier.counters.at("test.opt_sum"),
+            tier.counters.at("test.opt_sum"));
+  EXPECT_EQ(no_tier.to_json(), tier.to_json());
+  EXPECT_EQ(no_tier_parallel.to_json(), tier_parallel.to_json());
+  EXPECT_EQ(tier.to_json(), tier_parallel.to_json());
 #if MINMACH_OBS_ENABLED
-  // The tier really ran: sandwiches were computed only in the on runs.
+  // The tier really ran: sandwiches were computed only in the batch runs.
   auto exec = [](const Snapshot& snap, const char* name) -> std::uint64_t {
     auto it = snap.exec_counters.find(name);
     return it == snap.exec_counters.end() ? 0u : it->second;
   };
-  EXPECT_EQ(exec(off, "bounds.computed"), 0u);
-  EXPECT_EQ(exec(on, "bounds.computed"), instances.size());
+  EXPECT_EQ(exec(tier, "bounds.computed"), instances.size());
+  EXPECT_EQ(exec(tier_parallel, "bounds.computed"), instances.size());
+  EXPECT_EQ(exec(no_tier, "bounds.computed"), 0u);
+  EXPECT_EQ(exec(no_tier_parallel, "bounds.computed"), 0u);
   // Pure function of the instance set: identical tallies at any thread
   // count (exec maps included, like the mem tallies below; gauges
   // excluded -- high-water marks legitimately depend on the worker split).
-  EXPECT_EQ(on.counters, on_parallel.counters);
-  EXPECT_EQ(on.histograms, on_parallel.histograms);
-  EXPECT_EQ(on.exec_counters, on_parallel.exec_counters);
-  EXPECT_EQ(on.exec_histograms, on_parallel.exec_histograms);
-  EXPECT_EQ(on.to_json(false, /*include_exec=*/true),
-            on_parallel.to_json(false, /*include_exec=*/true));
+  EXPECT_EQ(tier.counters, tier_parallel.counters);
+  EXPECT_EQ(tier.histograms, tier_parallel.histograms);
+  EXPECT_EQ(tier.exec_counters, tier_parallel.exec_counters);
+  EXPECT_EQ(tier.exec_histograms, tier_parallel.exec_histograms);
+  EXPECT_EQ(tier.to_json(false, /*include_exec=*/true),
+            tier_parallel.to_json(false, /*include_exec=*/true));
 #endif
   Registry::global().reset();
 }
@@ -376,10 +383,8 @@ TEST(Metrics, DynamicOracleTalliesClassifyAndMergeDeterministically) {
     stream.push_back({svc::Event::Kind::kComplete, s, 1, {}});
     stream.push_back({svc::Event::Kind::kQuery, s, 0, {}});
   }
-  // Force probes: with the bound tier pinning every query the network is
-  // never built and splices have no routed edges to patch.
-  const bool saved_tier = bounds_tier_enabled();
-  set_bounds_tier_enabled(false);
+  // Sessions are edited oracles, so their queries probe the network and
+  // splices patch its routed edges.
   auto run = [&](int threads) {
     Registry& r = Registry::global();
     (void)r.snapshot();  // drain residue from earlier tests
@@ -418,7 +423,6 @@ TEST(Metrics, DynamicOracleTalliesClassifyAndMergeDeterministically) {
   svc::SessionEngine engine(svc::EngineOptions{});
   engine.ingest(stream);
   set_profiling(false);
-  set_bounds_tier_enabled(saved_tier);
   Snapshot profiled = Registry::global().snapshot();
   auto span_calls = [&](std::string_view needle) {
     std::uint64_t total = 0;

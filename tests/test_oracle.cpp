@@ -3,7 +3,9 @@
 // with an independent dense Horn network (reference_horn.hpp) and with the
 // pair-scan load bound, on every instance family, including
 // non-integer-grid (rational mode) and adversarial strong-lower-bound
-// instances, with the bound tier on and off, and from concurrent threads.
+// instances, and from concurrent threads. The bound sandwich may answer a
+// batch oracle's queries without building the network at all, so each test
+// also checks the network's own verdicts through probe().
 #include "minmach/flow/feasibility.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +16,6 @@
 
 #include "minmach/adversary/strong_lb.hpp"
 #include "minmach/algos/nonpreemptive.hpp"
-#include "minmach/core/bounds.hpp"
 #include "minmach/core/contribution.hpp"
 #include "minmach/core/transforms.hpp"
 #include "minmach/gen/generators.hpp"
@@ -69,17 +70,15 @@ std::vector<Instance> test_instances() {
   return out;
 }
 
-// Runs `body` with the bound tier on (the library default), then off, so
-// both the sandwich short-circuits and the network probes they would skip
-// are checked. Leaves the tier on.
-template <typename Body>
-void with_tier_on_and_off(Body body) {
-  for (bool tier : {true, false}) {
-    SCOPED_TRACE(tier ? "bound tier on" : "bound tier off");
-    set_bounds_tier_enabled(tier);
-    body();
+// The network's own verdicts around OPT, through probe(): one descending
+// step (a cold restart) between ascending ones (warm starts). `opt` is the
+// reference network's, so m >= opt is its verdict on m.
+void expect_probes_match(const Instance& instance, std::int64_t opt) {
+  FeasibilityOracle oracle(instance);
+  for (std::int64_t m : {opt + 1, opt - 1, opt}) {
+    if (m <= 0) continue;
+    EXPECT_EQ(oracle.probe(m), m >= opt) << "m=" << m << " opt=" << opt;
   }
-  set_bounds_tier_enabled(true);
 }
 
 TEST(SweepLoadBound, MatchesReferenceOnAllFamilies) {
@@ -106,18 +105,18 @@ TEST(SweepLoadBound, MalformedFallsBackToReference) {
 TEST(ReferenceHorn, OptimalMachinesAgreesOnAllFamilies) {
   for (const Instance& instance : test_instances()) {
     const std::int64_t reference = reference::horn_optimal_machines(instance);
-    with_tier_on_and_off([&] {
-      FeasibilityOracle oracle(instance);
-      EXPECT_EQ(oracle.optimal_machines(), reference) << "n=" << instance.size();
-      EXPECT_EQ(optimal_migratory_machines(instance), reference);
-    });
+    FeasibilityOracle oracle(instance);
+    EXPECT_EQ(oracle.optimal_machines(), reference) << "n=" << instance.size();
+    EXPECT_EQ(optimal_migratory_machines(instance), reference);
+    expect_probes_match(instance, reference);
   }
 }
 
 TEST(ReferenceHorn, FeasibleAgreesProbeByProbe) {
   // Mixed ascending/descending probe sequences exercise warm starts, cold
   // restarts, and the memo; every verdict must equal the reference
-  // network's.
+  // network's, from feasible() and from the network's own probe(), which
+  // must not disturb the memo it bypasses.
   Rng rng(1234);
   GenConfig config{30, 90, 25, 3};
   for (int trial = 0; trial < 4; ++trial) {
@@ -125,14 +124,12 @@ TEST(ReferenceHorn, FeasibleAgreesProbeByProbe) {
     const std::int64_t opt = reference::horn_optimal_machines(instance);
     std::vector<std::int64_t> sequence = {opt + 2, 1,       opt,
                                           opt - 1, opt + 1, opt};
-    with_tier_on_and_off([&] {
-      FeasibilityOracle oracle(instance);
-      for (std::int64_t m : sequence) {
-        if (m <= 0) continue;
-        EXPECT_EQ(oracle.feasible(m), m >= opt)
-            << "m=" << m << " opt=" << opt;
-      }
-    });
+    FeasibilityOracle oracle(instance);
+    for (std::int64_t m : sequence) {
+      if (m <= 0) continue;
+      EXPECT_EQ(oracle.feasible(m), m >= opt) << "m=" << m << " opt=" << opt;
+      EXPECT_EQ(oracle.probe(m), m >= opt) << "m=" << m << " opt=" << opt;
+    }
     EXPECT_TRUE(reference::horn_feasible(instance, opt));
     if (opt > 1) {
       EXPECT_FALSE(reference::horn_feasible(instance, opt - 1));
@@ -147,14 +144,17 @@ TEST(Compression, SharedTreeNodesDoNotLeakSegmentCaps) {
   // per-(job,segment) cap admits flow 4 and wrongly reports feasible. The
   // hybrid compression must keep the dense verdict.
   Instance instance({mk(0, 2, 2), mk(0, 1, 1), mk(0, 1, 1)});
+  // The bound sandwich pinches at 3 here, so only probe() reaches the
+  // compressed network.
   EXPECT_FALSE(reference::horn_feasible(instance, 2));
   EXPECT_TRUE(reference::horn_feasible(instance, 3));
-  with_tier_on_and_off([&] {
-    FeasibilityOracle oracle(instance);
-    EXPECT_FALSE(oracle.feasible(2));
-    EXPECT_TRUE(oracle.feasible(3));
-    EXPECT_EQ(oracle.optimal_machines(), 3);
-  });
+  FeasibilityOracle oracle(instance);
+  EXPECT_FALSE(oracle.feasible(2));
+  EXPECT_TRUE(oracle.feasible(3));
+  EXPECT_EQ(oracle.optimal_machines(), 3);
+  FeasibilityOracle network(instance);
+  EXPECT_FALSE(network.probe(2));
+  EXPECT_TRUE(network.probe(3));
 }
 
 TEST(Compression, TightJobsDegradeToDirectEdges) {
@@ -163,24 +163,33 @@ TEST(Compression, TightJobsDegradeToDirectEdges) {
   // match the dense network.
   Instance instance({mk(0, 4, 4), mk(1, 3, 2), mk(0, 2, 2), mk(2, 4, 2)});
   const std::int64_t dense = reference::horn_optimal_machines(instance);
-  with_tier_on_and_off([&] {
-    FeasibilityOracle fast(instance);
-    EXPECT_EQ(fast.optimal_machines(), dense);
-  });
+  FeasibilityOracle fast(instance);
+  EXPECT_EQ(fast.optimal_machines(), dense);
+  expect_probes_match(instance, dense);
 }
 
 TEST(Oracle, WarmStartSurvivesDescendingProbes) {
   // A descending probe forces a cold restart; later ascending probes must
-  // warm-start from the restarted flow and stay correct.
+  // warm-start from the restarted flow and stay correct. The first probe
+  // runs on the freshly built network, whose zero flow any machine count
+  // extends (warm); the descent to opt - 1 restarts cold; the ascent back
+  // to opt resumes warm. (feasible() would run none of them: the bound
+  // sandwich pinches on this instance.)
   Rng rng(77);
   Instance instance = gen_general(rng, GenConfig{25, 80, 20, 2});
-  std::int64_t opt = optimal_migratory_machines(instance);
+  const std::int64_t opt = reference::horn_optimal_machines(instance);
+  ASSERT_GT(opt, 1);
+  obs::Registry& registry = obs::Registry::global();
+  const std::uint64_t cold0 = registry.counter("oracle.cold_probes").value();
+  const std::uint64_t warm0 = registry.counter("oracle.warm_probes").value();
   FeasibilityOracle oracle(instance);
-  EXPECT_TRUE(oracle.feasible(opt + 3));
-  if (opt > 1) {
-    EXPECT_FALSE(oracle.feasible(opt - 1));
-  }
-  EXPECT_TRUE(oracle.feasible(opt));
+  EXPECT_TRUE(oracle.probe(opt + 3));
+  EXPECT_FALSE(oracle.probe(opt - 1));
+  EXPECT_TRUE(oracle.probe(opt));
+  EXPECT_EQ(oracle.probes_executed(), 3u);
+  EXPECT_EQ(registry.counter("oracle.cold_probes").value() - cold0, 1u);
+  EXPECT_EQ(registry.counter("oracle.warm_probes").value() - warm0, 2u);
+  EXPECT_EQ(oracle.optimal_machines(), opt);
 }
 
 TEST(Oracle, LoadLowerBoundIsCertified) {
@@ -213,26 +222,30 @@ TEST(Oracle, RationalModeMatchesIntegerMode) {
 
 TEST(Oracle, DegenerateInstancesAnswerOrThrow) {
   // The empty instance needs no machine, a single job one; a malformed
-  // instance is refused by optimal_machines() rather than answered.
-  with_tier_on_and_off([&] {
-    EXPECT_EQ(FeasibilityOracle(Instance()).optimal_machines(), 0);
+  // instance is refused by optimal_machines() rather than answered, and
+  // probe() rejects it like feasible() does.
+  EXPECT_EQ(FeasibilityOracle(Instance()).optimal_machines(), 0);
+  EXPECT_TRUE(reference::horn_feasible(Instance(), 1));
+  EXPECT_TRUE(FeasibilityOracle(Instance()).probe(1));
 
-    const Instance one({mk(0, 2, 1)});
-    EXPECT_EQ(reference::horn_optimal_machines(one), 1);
-    EXPECT_EQ(FeasibilityOracle(one).optimal_machines(), 1);
+  const Instance one({mk(0, 2, 1)});
+  EXPECT_EQ(reference::horn_optimal_machines(one), 1);
+  EXPECT_EQ(FeasibilityOracle(one).optimal_machines(), 1);
+  expect_probes_match(one, 1);
 
-    const Instance bad({mk(1, 1, 1)});
-    ASSERT_FALSE(bad.well_formed());
-    FeasibilityOracle oracle(bad);
-    EXPECT_THROW((void)oracle.optimal_machines(), std::invalid_argument);
-  });
+  const Instance bad({mk(1, 1, 1)});
+  ASSERT_FALSE(bad.well_formed());
+  FeasibilityOracle oracle(bad);
+  EXPECT_THROW((void)oracle.optimal_machines(), std::invalid_argument);
+  EXPECT_FALSE(oracle.feasible(1));
+  EXPECT_FALSE(oracle.probe(1));
 }
 
 TEST(Oracle, ConcurrentQueriesStayConsistent) {
   // Four threads query the same instance pool, one fresh oracle per query,
-  // so every thread keeps recycling its parked Impl (and, with the tier
-  // off, the probe network's storage) while the others do the same; every
-  // answer must equal the reference network's.
+  // so every thread keeps recycling its parked Impl -- and, through the
+  // probes at OPT and OPT - 1, the probe network's storage -- while the
+  // others do the same; every answer must equal the reference network's.
   Rng rng(23);
   GenConfig config;
   config.n = 12;
@@ -242,25 +255,37 @@ TEST(Oracle, ConcurrentQueriesStayConsistent) {
   for (const Instance& in : pool)
     reference.push_back(reference::horn_optimal_machines(in));
 
-  with_tier_on_and_off([&] {
-    const int threads = 4, reps = 8;
-    std::vector<std::vector<std::int64_t>> got(
-        threads, std::vector<std::int64_t>(pool.size(), -1));
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        for (int rep = 0; rep < reps; ++rep)
-          for (std::size_t i = 0; i < pool.size(); ++i)
-            got[static_cast<std::size_t>(t)][i] =
-                FeasibilityOracle(pool[i]).optimal_machines();
-        obs::drain_hot_tallies();
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    for (int t = 0; t < threads; ++t)
-      EXPECT_EQ(got[static_cast<std::size_t>(t)], reference) << "thread " << t;
-  });
+  const int threads = 4, reps = 8;
+  std::vector<std::vector<std::int64_t>> got(
+      threads, std::vector<std::int64_t>(pool.size(), -1));
+  std::vector<std::vector<std::int64_t>> probed = got;
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      const std::size_t slot = static_cast<std::size_t>(t);
+      for (int rep = 0; rep < reps; ++rep) {
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+          got[slot][i] = FeasibilityOracle(pool[i]).optimal_machines();
+          // The least machine count the network accepts, given the
+          // reference's OPT: opt when both probes agree with it.
+          FeasibilityOracle network(pool[i]);
+          const std::int64_t opt = reference[i];
+          probed[slot][i] =
+              network.probe(opt) && (opt <= 1 || !network.probe(opt - 1))
+                  ? opt
+                  : -1;
+        }
+      }
+      obs::drain_hot_tallies();
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (int t = 0; t < threads; ++t) {
+    const std::size_t slot = static_cast<std::size_t>(t);
+    EXPECT_EQ(got[slot], reference) << "thread " << t;
+    EXPECT_EQ(probed[slot], reference) << "thread " << t;
+  }
 }
 
 }  // namespace

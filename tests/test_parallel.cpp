@@ -90,45 +90,34 @@ TEST(ParallelMap, DefaultThreadsClampAtHardwareConcurrency) {
             cores + 7);
 }
 
-TEST(ParallelMap, StealingAndStaticChunkingProduceIdenticalResults) {
+TEST(ParallelMap, StealingMatchesSerialAtEveryThreadCount) {
   // The scheduler only decides WHICH worker runs a task; results land at
-  // their original index either way, so both chunking modes -- and any
-  // thread count -- must agree byte-for-byte.
+  // their original index either way, so any thread count must agree
+  // byte-for-byte with the serial run.
   auto task = [](std::size_t i) {
-    // Skew: the first quarter of the index space is ~50x heavier, so under
-    // static chunking worker 0 holds almost all the work.
+    // Skew: the first quarter of the index space is ~50x heavier, so
+    // worker 0's initial range holds almost all the work.
     std::size_t rounds = (i < 8) ? 5000 : 100;
     std::uint64_t acc = i;
     for (std::size_t k = 0; k < rounds; ++k) acc = acc * 6364136223846793005ull + 1442695040888963407ull;
     return acc;
   };
-  auto serial = bench::parallel_map_scheduled(32, 1, task,
-                                              bench::Chunking::kWorkStealing);
+  auto serial = bench::parallel_map_scheduled(32, 1, task);
   for (std::size_t threads : {2u, 4u}) {
-    bench::ScheduleStats steal_stats, static_stats;
-    auto stolen = bench::parallel_map_scheduled(
-        32, threads, task, bench::Chunking::kWorkStealing, &steal_stats);
-    auto chunked = bench::parallel_map_scheduled(
-        32, threads, task, bench::Chunking::kStatic, &static_stats);
+    bench::ScheduleStats stats;
+    auto stolen = bench::parallel_map_scheduled(32, threads, task, &stats);
     EXPECT_EQ(stolen, serial) << "threads=" << threads;
-    EXPECT_EQ(chunked, serial) << "threads=" << threads;
-    // Every task ran exactly once in each mode, whatever the stealing did.
-    std::uint64_t steal_tasks = 0, static_tasks = 0;
-    for (const bench::WorkerLoad& w : steal_stats.workers) steal_tasks += w.tasks;
-    for (const bench::WorkerLoad& w : static_stats.workers)
-      static_tasks += w.tasks;
-    EXPECT_EQ(steal_tasks, 32u);
-    EXPECT_EQ(static_tasks, 32u);
-    // Static chunking never steals, by definition.
-    EXPECT_EQ(static_stats.total_steals(), 0u);
+    // Every task ran exactly once, whatever the stealing did.
+    std::uint64_t tasks = 0;
+    for (const bench::WorkerLoad& w : stats.workers) tasks += w.tasks;
+    EXPECT_EQ(tasks, 32u);
   }
 }
 
 TEST(ParallelMap, ScheduleStatsAccountForEveryWorker) {
   bench::ScheduleStats stats;
   auto out = bench::parallel_map_scheduled(
-      20, 4, [](std::size_t i) { return i; }, bench::Chunking::kWorkStealing,
-      &stats);
+      20, 4, [](std::size_t i) { return i; }, &stats);
   ASSERT_EQ(out.size(), 20u);
   ASSERT_EQ(stats.workers.size(), 4u);
   std::uint64_t total = 0;
@@ -140,7 +129,7 @@ TEST(ParallelMap, ScheduleStatsAccountForEveryWorker) {
   // Single-threaded runs fill exactly one worker slot.
   bench::ScheduleStats solo;
   (void)bench::parallel_map_scheduled(
-      5, 1, [](std::size_t i) { return i; }, bench::Chunking::kStatic, &solo);
+      5, 1, [](std::size_t i) { return i; }, &solo);
   ASSERT_EQ(solo.workers.size(), 1u);
   EXPECT_EQ(solo.workers[0].tasks, 5u);
   EXPECT_EQ(solo.total_steals(), 0u);
