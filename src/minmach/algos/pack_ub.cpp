@@ -25,7 +25,7 @@ struct Chunk {
   Rat amount;
 };
 
-// int64 twin of Chunk for the integer fast path: grants stay raw integers
+// int64 twin of Chunk for the column entry: grants stay raw integers
 // through every pass and through the audit of the winning one.
 struct IChunk {
   std::size_t job;
@@ -129,30 +129,6 @@ PackAttempt try_pack(const Instance& instance, const std::vector<Rat>& points,
   }
   out.feasible = active.empty();
   return out;
-}
-
-// Small-integer extraction mirroring the bound kernels: succeeds only when
-// every field is an integer Rat in the int64 small tier. Oracle-materialized
-// instances in integer mode always qualify, so the sandwich's packing runs
-// on raw int64 instead of gcd-normalizing Rats.
-bool small_int_fields(const Instance& instance, std::vector<std::int64_t>& r,
-                      std::vector<std::int64_t>& d,
-                      std::vector<std::int64_t>& p) {
-  const std::size_t n = instance.size();
-  r.reserve(n);
-  d.reserve(n);
-  p.reserve(n);
-  auto small_into = [](const Rat& value, std::vector<std::int64_t>& dst) {
-    if (!value.is_integer() || !value.num().is_small()) return false;
-    dst.push_back(value.num().small_value());
-    return true;
-  };
-  for (const Job& job : instance.jobs()) {
-    if (!small_into(job.release, r) || !small_into(job.deadline, d) ||
-        !small_into(job.processing, p))
-      return false;
-  }
-  return true;
 }
 
 // int64 twin of try_pack: same priorities, same tie-breaks, same grant
@@ -328,30 +304,15 @@ Schedule realize(const std::vector<Rat>& points, const PackAttempt& attempt) {
   return schedule;
 }
 
-}  // namespace
-
-PackUbResult pack_upper_bound(const Instance& instance, std::int64_t start) {
+// The budget search both entries share: `pass(m, llf)` runs one packing
+// pass at budget m, and the winning pass certifies only if `audit`
+// accepts it.
+template <typename Pass, typename Audit>
+PackUbResult pack_search(std::int64_t n, std::int64_t start, Pass pass,
+                         Audit audit) {
   PackUbResult out;
-  if (instance.empty()) return out;
-  const std::int64_t n = static_cast<std::int64_t>(instance.size());
   out.machines = n;  // one job per machine: always feasible when well-formed
-  if (!instance.well_formed()) return out;
-  obs::ProfileSpan span("bound_ub_pack");
-
-  const std::vector<Rat> points = instance.event_points();
   int budget = 2 * std::bit_width(static_cast<std::uint64_t>(n)) + 6;
-
-  // Integer fast path: passes run on raw int64 when every field is a small
-  // integer (always true for oracle-materialized integer-mode instances).
-  // Both paths produce identical chunks, so the witness and the audit below
-  // are path-independent.
-  std::vector<std::int64_t> r64, d64, p64;
-  std::vector<std::int64_t> pts64;
-  const bool use_i64 = small_int_fields(instance, r64, d64, p64);
-  if (use_i64) {
-    pts64.reserve(points.size());
-    for (const Rat& point : points) pts64.push_back(point.num().small_value());
-  }
 
   std::int64_t best = n;
   PackWitness best_witness = PackWitness::kSingleton;
@@ -359,14 +320,13 @@ PackUbResult pack_upper_bound(const Instance& instance, std::int64_t start) {
   auto attempt = [&](std::int64_t m, bool llf) {
     ++out.attempts;
     --budget;
-    PackAttempt pass = use_i64 ? try_pack_i64(r64, d64, p64, pts64, m, llf)
-                               : try_pack(instance, points, m, llf);
-    if (pass.feasible && pass.machines_used < best) {
-      best = std::max<std::int64_t>(1, pass.machines_used);
+    PackAttempt result = pass(m, llf);
+    if (result.feasible && result.machines_used < best) {
+      best = std::max<std::int64_t>(1, result.machines_used);
       best_witness = llf ? PackWitness::kLlf : PackWitness::kEdf;
-      best_attempt = std::move(pass);
+      best_attempt = std::move(result);
     }
-    return pass.feasible;
+    return result.feasible;
   };
 
   // Gallop the budget up from `start` (EDF, with one LLF retry at the
@@ -401,16 +361,10 @@ PackUbResult pack_upper_bound(const Instance& instance, std::int64_t start) {
   }
 
   if (best_witness != PackWitness::kSingleton) {
-    // Audit the witness: the int64 path checks the McNaughton conditions on
-    // its grants directly, the Rat path realizes the schedule and runs it
-    // through core/validate. An audit rejection (impossible by
-    // construction, kept as defense in depth) falls back to the trivial
-    // certificate instead of lying.
+    // An audit rejection (impossible by construction, kept as defense in
+    // depth) falls back to the trivial certificate instead of lying.
     obs::ProfileSpan audit_span("pack_audit");
-    const bool audited =
-        use_i64 ? audit_chunks_i64(r64, d64, p64, pts64, best_attempt)
-                : validate(instance, realize(points, best_attempt)).ok;
-    if (audited) {
+    if (audit(best_attempt)) {
       out.machines = best;
       out.witness = best_witness;
       out.validated = true;
@@ -418,6 +372,43 @@ PackUbResult pack_upper_bound(const Instance& instance, std::int64_t start) {
   }
   obs::Registry::global().counter("bounds.pack_attempts").add(out.attempts);
   return out;
+}
+
+}  // namespace
+
+PackUbResult pack_upper_bound(const Instance& instance, std::int64_t start) {
+  PackUbResult out;
+  if (instance.empty()) return out;
+  out.machines = static_cast<std::int64_t>(instance.size());
+  if (!instance.well_formed()) return out;
+  obs::ProfileSpan span("bound_ub_pack");
+  const std::vector<Rat> points = instance.event_points();
+  return pack_search(
+      out.machines, start,
+      [&](std::int64_t m, bool llf) {
+        return try_pack(instance, points, m, llf);
+      },
+      [&](const PackAttempt& attempt) {
+        return validate(instance, realize(points, attempt)).ok;
+      });
+}
+
+PackUbResult pack_upper_bound(const std::vector<std::int64_t>& release,
+                              const std::vector<std::int64_t>& deadline,
+                              const std::vector<std::int64_t>& processing,
+                              const std::vector<std::int64_t>& points,
+                              std::int64_t start) {
+  if (release.empty()) return PackUbResult{};
+  obs::ProfileSpan span("bound_ub_pack");
+  return pack_search(
+      static_cast<std::int64_t>(release.size()), start,
+      [&](std::int64_t m, bool llf) {
+        return try_pack_i64(release, deadline, processing, points, m, llf);
+      },
+      [&](const PackAttempt& attempt) {
+        return audit_chunks_i64(release, deadline, processing, points,
+                                attempt);
+      });
 }
 
 }  // namespace minmach

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "minmach/core/bounds.hpp"
 #include "minmach/core/instance.hpp"
@@ -49,18 +50,30 @@ struct PackUbResult {
 // windows EDF starves, and vice versa) within the attempt budget
 // 2 * ceil(log2 n) + 6.
 //
-// The winning pass is audited before it certifies anything. On instances
-// whose fields are all small integers (every integer-mode oracle's) the
-// audit checks McNaughton's realizability conditions on the grants
-// directly: each grant fits its segment and its job's window, each job
-// receives exactly its processing time, and no segment exceeds
-// machines * length. These are exactly the facts core/validate re-derives
-// from the realized schedule, so the certificate is equally binding. Other
-// instances realize the schedule and run it through core/validate.
+// The winning pass is audited before it certifies anything: it is
+// realized as a schedule and run through core/validate.
 //
 // Returns the trivial n-machine certificate for a malformed instance (which
 // no packing can serve) and {0} for an empty one.
 [[nodiscard]] PackUbResult pack_upper_bound(const Instance& instance,
                                             std::int64_t start = 1);
+
+// The same bound on int64 job columns (job j is release[j], deadline[j],
+// processing[j]) and their event points: every release and deadline,
+// sorted and deduplicated. Its passes grant exactly what the Instance
+// entry's grant on the instance these columns spell, so it returns what
+// that entry returns; only the audit differs. It checks McNaughton's
+// realizability conditions on the grants directly: each grant fits its
+// segment and its job's window, each job receives exactly its processing
+// time, and no segment exceeds machines * length. These are exactly the
+// facts core/validate re-derives from the realized schedule, so the
+// certificate is equally binding. Precondition: every job is well-formed
+// (0 < p_j <= d_j - r_j) and every field fits the 62-bit grid guard
+// (core/grid.hpp), as an integer-mode oracle's grid columns do.
+[[nodiscard]] PackUbResult pack_upper_bound(
+    const std::vector<std::int64_t>& release,
+    const std::vector<std::int64_t>& deadline,
+    const std::vector<std::int64_t>& processing,
+    const std::vector<std::int64_t>& points, std::int64_t start = 1);
 
 }  // namespace minmach

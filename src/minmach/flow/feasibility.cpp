@@ -267,6 +267,9 @@ struct OracleNet {
   std::int64_t flow_m = 0;  // machine count the routed flow was admitted under
   std::size_t source = 0;
   std::size_t sink = 0;
+  // An edited oracle's last sweep witness [a, b) as values, not point
+  // indices, so it survives splices and compaction (DESIGN.md §15).
+  std::optional<std::pair<Cap, Cap>> witness;
 
   struct TreeNode {
     std::size_t lo, hi;       // covered segment range [lo, hi)
@@ -368,6 +371,7 @@ struct OracleNet {
     flow_m = 0;
     source = 0;
     sink = 0;
+    witness.reset();
     dyn.reset();
   }
 };
@@ -771,13 +775,32 @@ bool OracleNet<Cap>::probe(std::int64_t machines, bool& warm) {
   return routed == total_work;
 }
 
+// Integer-grid values as int64 columns: they fit by the try_integer_grid
+// 62-bit guard.
+std::vector<std::int64_t> narrow(const std::vector<__int128>& v) {
+  std::vector<std::int64_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    out[i] = static_cast<std::int64_t>(v[i]);
+  return out;
+}
+
+// ceil(load / length) for load >= 0, length > 0, in either value domain.
+std::int64_t ceil_div(const __int128& load, const __int128& length) {
+  return static_cast<std::int64_t>((load + length - 1) / length);
+}
+std::int64_t ceil_div(const Rat& load, const Rat& length) {
+  return (load / length).ceil().to_int64();
+}
+
 // Array-level body of OracleNet::sweep_bound, shared with the dynamic
 // oracle's live views (compacted copies that mask retired slots): the
 // bound must see EXACTLY the live job set -- a dead slot's work would
 // inflate it above OPT, which is unsound -- and running the same kernel on
 // the same values keeps dynamic and batch lower bounds bit-identical.
+// Returns the witness too: the interval [points[lo], points[hi]) whose
+// load attains the bound.
 template <typename Cap>
-std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
+SweepWitness sweep_bound_arrays(const std::vector<Cap>& release,
                                 const std::vector<Cap>& deadline,
                                 const std::vector<Cap>& processing,
                                 const std::vector<Cap>& points) {
@@ -796,29 +819,43 @@ std::int64_t sweep_bound_arrays(const std::vector<Cap>& release,
     // the try_integer_grid guard; the kernel spills to the generic
     // __int128 sweep internally if its tighter overflow guard rejects the
     // instance. Bit-identical results either way.
-    auto narrow = [](const std::vector<__int128>& v) {
-      std::vector<std::int64_t> out(v.size());
-      for (std::size_t i = 0; i < v.size(); ++i)
-        out[i] = static_cast<std::int64_t>(v[i]);
-      return out;
-    };
     return sweep_load_bound_i64(narrow(release), narrow(deadline),
                                 narrow(processing), narrow(points), stride,
-                                util::simd::supported())
-        .machines;
+                                util::simd::supported());
   } else {
     return sweep_load_bound(release, deadline, processing, points,
                             [](const Rat& c, const Rat& len) {
-                              return (c / len).ceil().to_int64();
+                              return ceil_div(c, len);
                             },
-                            stride)
-        .machines;
+                            stride);
   }
 }
 
 template <typename Cap>
 std::int64_t OracleNet<Cap>::sweep_bound() const {
-  return sweep_bound_arrays(release, deadline, processing, points);
+  return sweep_bound_arrays(release, deadline, processing, points).machines;
+}
+
+// Theorem 1's easy direction on one interval: ceil(C(S, [a, b)) / (b - a))
+// over the live slots, where job j contributes the part of its window
+// inside [a, b) beyond its laxity d_j - r_j - p_j. One O(n) pass, so an
+// edited oracle can re-check its last sweep witness against the current
+// live set instead of re-sweeping.
+template <typename Cap>
+std::int64_t interval_bound(const OracleNet<Cap>& net,
+                            const std::vector<char>& live, const Cap& a,
+                            const Cap& b) {
+  Cap load(0);
+  for (std::size_t s = 0; s < live.size(); ++s) {
+    if (!live[s]) continue;
+    const Cap& lo = net.release[s] < a ? a : net.release[s];
+    const Cap& hi = b < net.deadline[s] ? b : net.deadline[s];
+    // Overlap minus laxity; negative when the window misses [a, b).
+    const Cap excess = (hi - lo) - (net.deadline[s] - net.release[s] -
+                                    net.processing[s]);
+    if (Cap(0) < excess) load += excess;
+  }
+  return ceil_div(load, b - a);
 }
 
 // Live view of a (possibly edited) net: the live slots' values plus their
@@ -911,6 +948,7 @@ struct FeasibilityOracle::Impl {
 
   bool probe(std::int64_t machines);
   std::int64_t lower_bound();
+  std::int64_t witness_bound();
   void publish_flow_stats();
   void ensure_network();
   // Grid conversion, density bound and the net's arrays.
@@ -931,7 +969,7 @@ struct FeasibilityOracle::Impl {
     sandwich_cache = BoundSandwich{};
   }
   const BoundSandwich& sandwich();
-  [[nodiscard]] Instance materialize() const;
+  [[nodiscard]] PackUbResult pack_ub(std::int64_t start) const;
 
   // Restores the default-constructed logical state (everything the public
   // constructor assumes) while keeping container storage.
@@ -1128,34 +1166,29 @@ void FeasibilityOracle::Impl::publish_flow_stats() {
   published = now;
 }
 
-// Rebuilds an Instance from the normalized per-job arrays for the packing
-// upper bound. The integer grid is the original instance under an affine
-// time rescale (denominator-lcm stretch), which preserves OPT and maps a
-// feasible witness schedule back and forth, so packing the materialized
-// instance certifies the original.
-Instance FeasibilityOracle::Impl::materialize() const {
-  std::vector<Job> jobs;
-  jobs.reserve(static_cast<std::size_t>(job_count));
-  // Edited oracles may still hold retired slots' values; only live slots
-  // belong to the instance being certified.
-  const auto dead = [this](std::size_t j) {
-    return dyn_mode && !slot_live[j];
-  };
-  if (integer_mode) {
-    for (std::size_t j = 0; j < inet.release.size(); ++j) {
-      if (dead(j)) continue;
-      // Grid values fit int64 by the try_integer_grid 62-bit guard.
-      jobs.push_back(Job{Rat(static_cast<std::int64_t>(inet.release[j])),
-                         Rat(static_cast<std::int64_t>(inet.deadline[j])),
-                         Rat(static_cast<std::int64_t>(inet.processing[j]))});
-    }
-  } else {
+// The packing upper bound opened at `start`. An integer-mode oracle hands
+// pack_upper_bound its own grid columns, an edited one its live view (the
+// net's arrays may still hold retired slots, and only live slots belong to
+// the instance being certified). The integer grid is the original instance
+// under an affine time rescale (denominator-lcm stretch), which preserves
+// OPT and maps a feasible witness schedule back and forth, so packing the
+// grid certifies the original. The rational grid packs a rebuilt Instance.
+PackUbResult FeasibilityOracle::Impl::pack_ub(std::int64_t start) const {
+  if (!integer_mode) {
+    std::vector<Job> jobs;
+    jobs.reserve(static_cast<std::size_t>(job_count));
     for (std::size_t j = 0; j < rnet.release.size(); ++j) {
-      if (dead(j)) continue;
+      if (dyn_mode && !slot_live[j]) continue;
       jobs.push_back(Job{rnet.release[j], rnet.deadline[j], rnet.processing[j]});
     }
+    return pack_upper_bound(Instance(std::move(jobs)), start);
   }
-  return Instance(std::move(jobs));
+  auto pack_columns = [start](const auto& v) {
+    return pack_upper_bound(narrow(v.release), narrow(v.deadline),
+                            narrow(v.processing), narrow(v.points), start);
+  };
+  return dyn_mode ? pack_columns(live_view(inet, slot_live))
+                  : pack_columns(inet);
 }
 
 // Computes the certified sandwich lo <= OPT <= hi once and folds it into
@@ -1198,7 +1231,7 @@ const BoundSandwich& FeasibilityOracle::Impl::sandwich() {
   // Upper side: constructive packing witness, opened at lo so a success
   // there pinches the sandwich outright.
   if (lo < hi) {
-    const PackUbResult pack = pack_upper_bound(materialize(), lo);
+    const PackUbResult pack = pack_ub(lo);
     s.certificate.pack_machines = pack.machines;
     s.certificate.pack = pack.witness;
     hi = std::min(hi, pack.machines);
@@ -1271,16 +1304,16 @@ std::int64_t FeasibilityOracle::Impl::lower_bound() {
     if (dyn_mode) {
       // Edited oracle: the net's member arrays/points may include retired
       // slots or boundary gaps; sweep the live view instead (identical
-      // values to a fresh batch oracle of the live set).
-      if (integer_mode) {
-        const LiveArrays<__int128> v = live_view(inet, slot_live);
-        lb = std::max(lb, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points));
-      } else {
-        const LiveArrays<Rat> v = live_view(rnet, slot_live);
-        lb = std::max(lb, sweep_bound_arrays(v.release, v.deadline,
-                                             v.processing, v.points));
-      }
+      // values to a fresh batch oracle of the live set), and keep the
+      // witness interval for the next query to re-check.
+      auto sweep_live = [&](auto& net) {
+        const auto v = live_view(net, slot_live);
+        const SweepWitness w =
+            sweep_bound_arrays(v.release, v.deadline, v.processing, v.points);
+        if (w.machines > 0) net.witness.emplace(v.points[w.lo], v.points[w.hi]);
+        return w.machines;
+      };
+      lb = std::max(lb, integer_mode ? sweep_live(inet) : sweep_live(rnet));
     } else {
       lb = std::max(lb, integer_mode ? inet.sweep_bound() : rnet.sweep_bound());
     }
@@ -1290,6 +1323,18 @@ std::int64_t FeasibilityOracle::Impl::lower_bound() {
   }
   lb_cache = lb;
   return lb;
+}
+
+// The load bound of the last live-set sweep's witness interval, re-summed
+// over the current live slots; 0 when no sweep has left a witness.
+std::int64_t FeasibilityOracle::Impl::witness_bound() {
+  auto recheck = [this](const auto& net) -> std::int64_t {
+    if (!net.witness) return 0;
+    obs::Registry::global().counter("oracle.witness_bounds").add();
+    return interval_bound(net, slot_live, net.witness->first,
+                          net.witness->second);
+  };
+  return integer_mode ? recheck(inet) : recheck(rnet);
 }
 
 // ---- dynamic edits (DESIGN.md §15) -------------------------------------
@@ -1642,42 +1687,56 @@ std::int64_t FeasibilityOracle::optimal_machines() {
   if (!im.well_formed)
     throw std::invalid_argument("FeasibilityOracle: malformed instance");
   obs::ProfileSpan opt_span("opt_search");
-  // After an edit the memo shifts leave a bracket of at most two candidate
-  // values (insert: +1 on the ceiling only; remove: -1 on the floor only),
-  // so the sweep bound cannot rule out a probe the memo hasn't already --
-  // and recomputing it per event is exactly the per-query rebuild cost the
-  // splice path exists to avoid. Skip it when the dynamic bracket is
-  // already that tight; never-edited oracles are unaffected (dyn_mode only
-  // turns on at the first edit).
-  const bool memo_tight =
-      im.dyn_mode && im.min_feasible - im.max_infeasible <= 2;
-  // Bound tier, never-edited oracles only (class comment): the sandwich
-  // folds into the memo, so a pinched sandwich makes both loops below
-  // vacuous (OPT returned with zero probes and no network build) and an
-  // open one pre-narrows the bracket to [lo, hi).
-  if (!im.dyn_mode) (void)im.sandwich();
-  obs::Registry& registry = obs::Registry::global();
-  const std::int64_t lb =
-      memo_tight ? im.max_infeasible + 1 : im.lower_bound();
-
-  // Warm ascent: probe lb, lb+1, lb+3, lb+7, ... -- every probe is at a
-  // higher m than the last, so each one extends the routed flow instead of
-  // re-solving. With the sweep bound the first probe usually succeeds and
-  // certifies OPT outright (everything below lb is infeasible by the load
-  // argument).
-  std::int64_t m = std::max<std::int64_t>(im.max_infeasible + 1, lb);
-  std::int64_t step = 1;
-  while (m < im.min_feasible && !feasible(m)) {
-    registry.counter("oracle.gallop_steps").add();
-    m = std::min<std::int64_t>(im.min_feasible, m + step);
-    step *= 2;
+  const auto open = [&im] { return im.max_infeasible + 1 < im.min_feasible; };
+  if (!im.dyn_mode) {
+    // Bound tier, never-edited oracles only (class comment): the sandwich
+    // folds into the memo, so a pinched sandwich closes the bracket (OPT
+    // with zero probes and no network build) and an open one pre-narrows
+    // it to [lo, hi).
+    (void)im.sandwich();
+  } else if (open()) {
+    // Edited oracle (DESIGN.md §15). The memo shifts widen the bracket by
+    // one per edit, so a batched flush leaves several candidates, and the
+    // sweep that would rule most of them out costs O(S * (n + S)).
+    // 1. Re-sum the last sweep's witness interval over the live set: one
+    //    O(n) pass, certified by Theorem 1 like the sweep itself. Skipped
+    //    when the sweep already ran on this live set.
+    if (!im.lb_cache)
+      im.max_infeasible = std::max(im.max_infeasible, im.witness_bound() - 1);
+    // 2. Probe the floor when the probe is warm: at or above the machine
+    //    count the routed flow was admitted under, so it only extends that
+    //    flow. A colder floor (a remove lowered it) is left to the sweep:
+    //    a cold probe re-solves the whole flow, and leaves it below the
+    //    machine count the next query's probes start from.
+    const std::int64_t floor = im.max_infeasible + 1;
+    const std::int64_t flow_m =
+        im.integer_mode ? im.inet.flow_m : im.rnet.flow_m;
+    if (floor < im.min_feasible && im.network_built && floor >= flow_m)
+      (void)feasible(floor);
   }
-  // Close any remaining bracket (overshot gallop): descending probes reset
-  // the flow (capacities shrink), so these are the cold ones.
-  while (im.max_infeasible + 1 < im.min_feasible) {
-    std::int64_t mid =
-        im.max_infeasible + (im.min_feasible - im.max_infeasible) / 2;
-    (void)feasible(mid);
+  // 3. Still open: sweep the load bound (an edited oracle keeps its
+  // witness for rule 1) and search from it. Warm ascent: probe lb, lb+1,
+  // lb+3, lb+7, ... -- every probe is at a higher m than the last, so each
+  // one extends the routed flow instead of re-solving. With the sweep
+  // bound the first probe usually succeeds and certifies OPT outright
+  // (everything below lb is infeasible by the load argument).
+  if (open()) {
+    obs::Registry& registry = obs::Registry::global();
+    const std::int64_t lb = im.lower_bound();
+    std::int64_t m = std::max<std::int64_t>(im.max_infeasible + 1, lb);
+    std::int64_t step = 1;
+    while (m < im.min_feasible && !feasible(m)) {
+      registry.counter("oracle.gallop_steps").add();
+      m = std::min<std::int64_t>(im.min_feasible, m + step);
+      step *= 2;
+    }
+    // Close any remaining bracket (overshot gallop): descending probes
+    // reset the flow (capacities shrink), so these are the cold ones.
+    while (open()) {
+      std::int64_t mid =
+          im.max_infeasible + (im.min_feasible - im.max_infeasible) / 2;
+      (void)feasible(mid);
+    }
   }
   if (obs::trace_enabled()) {
     obs::trace_event("oracle", "verdict", {{"opt", im.min_feasible}});

@@ -38,11 +38,14 @@ struct FlowAllocation {
 // Until its first insert_job/remove_job, the oracle also consults the
 // certified bound sandwich (core/bounds.hpp) before probing: when it
 // pinches, OPT costs no network at all. An edited oracle never consults it
-// again -- its memo shifts keep the bracket narrow and a warm probe after a
-// splice costs a few edge visits, while the sandwich would be recomputed
-// after every edit. There is one configuration and no switch; tests check
-// it against an independent dense Horn network (tests/reference_horn.hpp),
-// through probe() where they need the network's own verdict.
+// again -- a warm probe after a splice costs a few edge visits, while the
+// sandwich would be recomputed after every edit. Instead it keeps the
+// interval that attained its last sweep load bound and, after the next
+// edits, re-sums that interval's load over the live jobs (one O(n) pass)
+// before it sweeps again (optimal_machines()). There is one configuration
+// and no switch; tests check it against an independent dense Horn network
+// (tests/reference_horn.hpp), through probe() where they need the
+// network's own verdict.
 class FeasibilityOracle {
  public:
   explicit FeasibilityOracle(const Instance& instance);
@@ -84,10 +87,13 @@ class FeasibilityOracle {
   // Jobs currently admitted (constructor jobs plus inserts minus removes).
   [[nodiscard]] std::int64_t live_jobs() const;
 
-  // Exact migratory OPT: ascends from load_lower_bound() with warm-started
-  // probes (galloping when the bound is loose, then binary-searching the
-  // bracket). Returns 0 for the empty instance; throws
-  // std::invalid_argument on a malformed one.
+  // Exact migratory OPT. A never-edited oracle narrows the memo with the
+  // bound sandwich; an edited one first re-checks its last sweep witness
+  // against the live jobs, then probes the bracket's floor when that probe
+  // only extends the routed flow. If candidates remain, it ascends from
+  // load_lower_bound() with warm-started probes (galloping when the bound
+  // is loose, then binary-searching the bracket). Returns 0 for the empty
+  // instance; throws std::invalid_argument on a malformed one.
   [[nodiscard]] std::int64_t optimal_machines();
 
   // A certified lower bound on OPT (>= 1 for a non-empty instance): the

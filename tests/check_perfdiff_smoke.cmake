@@ -71,6 +71,44 @@ if(NOT rc EQUAL 2)
   message(FATAL_ERROR "missing --candidate should exit 2, got ${rc}")
 endif()
 
+# Malformed tokens are refused the same way, with an error line naming the
+# token or flag (Cli throws them from its constructor and from the number
+# getters, before any artifact is read).
+execute_process(
+  COMMAND ${PERFDIFF} ${BASELINE} ${BASELINE}
+  OUTPUT_VARIABLE out ERROR_VARIABLE out
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "bare file arguments should exit 2, got ${rc}:\n${out}")
+endif()
+string(FIND "${out}" "error: Cli: expected --key=value, got ${BASELINE}" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "bare file arguments should print an error line naming the token:\n${out}")
+endif()
+execute_process(
+  COMMAND ${PERFDIFF} --baseline=${BASELINE} --candidate=${BASELINE}
+          --time-tol=abc
+  OUTPUT_VARIABLE out ERROR_VARIABLE out
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "--time-tol=abc should exit 2, got ${rc}:\n${out}")
+endif()
+if(NOT out MATCHES "error: [^\n]*--time-tol")
+  message(FATAL_ERROR "--time-tol=abc should print an error line naming the flag:\n${out}")
+endif()
+# A class list that names no class would compare 0 metrics and pass.
+execute_process(
+  COMMAND ${PERFDIFF} --baseline=${BASELINE} --candidate=${DEGRADED}
+          --classes=
+  OUTPUT_VARIABLE out ERROR_VARIABLE out
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "an empty --classes should exit 2, got ${rc}:\n${out}")
+endif()
+if(NOT out MATCHES "error: [^\n]*--classes")
+  message(FATAL_ERROR "an empty --classes should print an error line naming the flag:\n${out}")
+endif()
+
 # Real sentinel rehearsal: the same b01 binary run twice at smoke size must
 # compare clean under the CI classes.
 set(bench_a ${CMAKE_CURRENT_BINARY_DIR}/perfdiff_smoke_a.json)

@@ -2,7 +2,7 @@
 // sandwich lo <= OPT <= hi must be sound on every instance family, the
 // oracle must agree probe for probe with an independent dense Horn network
 // (reference_horn.hpp), the packing upper bound must certify the same
-// witness on the int64 path (direct audit) and the Rat path (realize +
+// witness from int64 columns (direct audit) and from an Instance (realize +
 // validate), and the prefiltered rational sweep must never exceed the
 // exact single-interval bound it approximates.
 #include "minmach/core/bounds.hpp"
@@ -15,6 +15,7 @@
 #include "minmach/adversary/strong_lb.hpp"
 #include "minmach/algos/nonpreemptive.hpp"
 #include "minmach/algos/pack_ub.hpp"
+#include "minmach/core/grid.hpp"
 #include "minmach/core/load_sweep.hpp"
 #include "minmach/core/transforms.hpp"
 #include "minmach/flow/feasibility.hpp"
@@ -163,25 +164,39 @@ TEST(BoundSandwich, PinchedSandwichAgreesWithTheNetwork) {
   EXPECT_EQ(oracle.probes_executed(), 2u);
 }
 
-// The int64 path's direct McNaughton audit and the Rat path's realize +
-// validate certify the same packing: the greedy passes are invariant under
-// uniform time scaling, so an instance and its rational-mode scaling must
-// pack to the same machine count and witness, each audited its own way.
+// The column entry's direct McNaughton audit and the Instance entry's
+// realize + validate certify the same packing: the greedy passes are
+// invariant under uniform time scaling, so an instance, its rational-mode
+// scaling and the int64 columns of its integer grid (what an integer-mode
+// oracle packs) must pack to the same machine count and witness, each
+// audited its own way.
 TEST(PackUpperBound, AuditModesAgree) {
+  int on_grid = 0;
   for (const Instance& instance : test_instances()) {
     if (instance.empty()) continue;
     const std::int64_t opt = reference::horn_optimal_machines(instance);
-    const PackUbResult direct = pack_upper_bound(instance);
-    const PackUbResult realized =
+    const PackUbResult realized = pack_upper_bound(instance);
+    const PackUbResult scaled =
         pack_upper_bound(force_rational_mode(instance));
-    EXPECT_GE(direct.machines, opt);
+    EXPECT_GE(realized.machines, opt);
+    EXPECT_EQ(realized.machines, scaled.machines);
+    EXPECT_EQ(realized.witness, scaled.witness);
+    if (realized.witness != PackWitness::kSingleton) {
+      EXPECT_TRUE(realized.validated);
+      EXPECT_TRUE(scaled.validated);
+    }
+    const IntegerGrid grid = try_integer_grid(instance);
+    if (!grid.usable) continue;
+    ++on_grid;
+    const PackUbResult direct =
+        pack_upper_bound(grid.release, grid.deadline, grid.processing,
+                         grid.event_points());
     EXPECT_EQ(direct.machines, realized.machines);
     EXPECT_EQ(direct.witness, realized.witness);
-    if (direct.witness != PackWitness::kSingleton) {
-      EXPECT_TRUE(direct.validated);
-      EXPECT_TRUE(realized.validated);
-    }
+    EXPECT_EQ(direct.attempts, realized.attempts);
+    EXPECT_EQ(direct.validated, realized.validated);
   }
+  EXPECT_GT(on_grid, 0);
 }
 
 // Seeding the packer at a certified lower bound pinches the sandwich on

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "minmach/core/instance.hpp"
@@ -65,29 +66,40 @@ Mirror mirror_of(const Instance& base) {
   return mirror;
 }
 
+// One job of the general-family pool the differential streams insert.
+Job pool_job(Rng& rng) { return gen_general(rng, {1, 60, 16, 4}).job(0); }
+
 // Runs a seeded random edit sequence against `oracle`, comparing OPT (and
-// spot verdicts around it) with the reference network after every edit.
-// `mirror` must already reflect the oracle's live set.
+// spot verdicts around it) with the reference network after every flush.
+// A flush is a uniform count in [flush.first, flush.second] of mixed
+// inserts (drawn by `draw`) and removes, the way a session batches its
+// edits before a query. `mirror` must already reflect the oracle's live
+// set.
 void differential_edits(FeasibilityOracle& oracle, Mirror& mirror,
-                        std::uint64_t seed, int edits) {
+                        std::uint64_t seed, int queries,
+                        std::pair<int, int> flush = {1, 1},
+                        Job (*draw)(Rng&) = pool_job) {
   Rng rng(seed);
-  GenConfig pool_config{1, 60, 16, 4};
-  for (int e = 0; e < edits; ++e) {
-    if (mirror.live.empty() || rng.bernoulli(0.6)) {
-      const Instance one = gen_general(rng, pool_config);
-      const JobId id = oracle.insert_job(one.job(0));
-      mirror.insert(id, one.job(0));
-    } else {
-      const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(mirror.live.size()) - 1));
-      const JobId id = mirror.live[pick].first;
-      oracle.remove_job(id);
-      mirror.remove(id);
+  for (int q = 0; q < queries; ++q) {
+    const std::int64_t edits = flush.first == flush.second
+                                   ? flush.first
+                                   : rng.uniform_int(flush.first, flush.second);
+    for (std::int64_t e = 0; e < edits; ++e) {
+      if (mirror.live.empty() || rng.bernoulli(0.6)) {
+        const Job job = draw(rng);
+        mirror.insert(oracle.insert_job(job), job);
+      } else {
+        const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(mirror.live.size()) - 1));
+        const JobId id = mirror.live[pick].first;
+        oracle.remove_job(id);
+        mirror.remove(id);
+      }
     }
     const std::int64_t expected =
         reference::horn_optimal_machines(mirror.instance());
     ASSERT_EQ(oracle.optimal_machines(), expected)
-        << "edit " << e << ", " << mirror.live.size() << " live jobs";
+        << "query " << q << ", " << mirror.live.size() << " live jobs";
     ASSERT_EQ(oracle.live_jobs(),
               static_cast<std::int64_t>(mirror.live.size()));
     if (expected > 0) {
@@ -272,6 +284,73 @@ TEST(DynamicOracle, ProbeParityWithBatch) {
     cold_probes += cold.probes_executed();
   }
   EXPECT_LE(dynamic_probes, cold_probes);
+}
+
+std::uint64_t tally(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+// d01's job shape on the integer grid: release in [0, 96], window [1, 24].
+Job grid_job(Rng& rng) {
+  const std::int64_t release = rng.uniform_int(0, 96);
+  const std::int64_t window = rng.uniform_int(1, 24);
+  return mk(release, release + window, rng.uniform_int(1, window));
+}
+
+TEST(DynamicOracle, BatchedFlushesMatchReference) {
+  // Each query follows a flush of 2-5 edits, so the memo bracket is several
+  // candidates wide and the oracle settles it from the last sweep's witness
+  // interval before sweeping again (DESIGN.md §15). One stream stays on the
+  // integer grid; the other falls back to exact rationals mid-way, which
+  // must drop the witness (its values are the old grid's).
+  constexpr int kQueries = 20;
+  for (const bool fallback : {false, true}) {
+    SCOPED_TRACE(fallback ? "rational fallback" : "integer grid");
+    const std::uint64_t seed = fallback ? 131 : 127;
+    Rng rng(seed);
+    std::vector<Job> seed_jobs;
+    for (int j = 0; j < 24; ++j) seed_jobs.push_back(grid_job(rng));
+    const Instance base(std::move(seed_jobs));
+    FeasibilityOracle oracle(base);
+    Mirror mirror = mirror_of(base);
+    const std::uint64_t sweeps0 = tally("oracle.sweep_bounds");
+    const std::uint64_t witnesses0 = tally("oracle.witness_bounds");
+    differential_edits(oracle, mirror, seed + 1, kQueries, {2, 5}, grid_job);
+    if (fallback) {
+      Job job = grid_job(rng);  // shifted off the grid
+      job.release += Rat(1, 3);
+      job.deadline += Rat(1, 3);
+      mirror.insert(oracle.insert_job(job), job);
+      const std::uint64_t witnesses = tally("oracle.witness_bounds");
+      ASSERT_EQ(oracle.optimal_machines(),
+                reference::horn_optimal_machines(mirror.instance()));
+      EXPECT_EQ(tally("oracle.witness_bounds"), witnesses)
+          << "the fallback kept the integer grid's witness";
+    }
+    differential_edits(oracle, mirror, seed + 2, kQueries, {2, 5}, grid_job);
+    // Most queries were settled without a sweep, by the witness re-check
+    // and at most a warm probe at the floor.
+    EXPECT_LT(tally("oracle.sweep_bounds") - sweeps0,
+              static_cast<std::uint64_t>(2 * kQueries));
+    EXPECT_GT(tally("oracle.witness_bounds") - witnesses0, 0u);
+  }
+
+  // An oracle that adopts a parked Impl starts without a witness. `holder`
+  // empties this thread's idle slot, so `first` is the Impl that gets
+  // parked and `second` the oracle that adopts it.
+  FeasibilityOracle holder{Instance{}};
+  Rng rng(137);
+  {
+    FeasibilityOracle first{Instance{}};
+    for (int j = 0; j < 12; ++j) (void)first.insert_job(grid_job(rng));
+    (void)first.optimal_machines();
+  }
+  FeasibilityOracle second{Instance{}};
+  for (int j = 0; j < 12; ++j) (void)second.insert_job(grid_job(rng));
+  const std::uint64_t witnesses = tally("oracle.witness_bounds");
+  (void)second.optimal_machines();
+  EXPECT_EQ(tally("oracle.witness_bounds"), witnesses)
+      << "a recycled Impl kept another oracle's witness";
 }
 
 TEST(DynamicOracle, RejectedRemoveLeavesOracleUnchanged) {

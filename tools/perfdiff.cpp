@@ -55,7 +55,7 @@ Artifact load_checked(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   minmach::Cli cli(argc, argv);
   const std::string baseline_path = cli.get_string("baseline", "");
   const std::string candidate_path = cli.get_string("candidate", "");
@@ -68,11 +68,7 @@ int main(int argc, char** argv) {
       cli.get_double("min-time-ms", thresholds.min_time_ms);
   const std::string classes =
       cli.get_string("classes", "time,count,identity,higher");
-  try {
-    cli.check_unknown();
-  } catch (const std::exception& error) {
-    usage_error(error.what());
-  }
+  cli.check_unknown();
   if (baseline_path.empty() || candidate_path.empty())
     usage_error("--baseline and --candidate are both required");
   if (thresholds.time_tol < 1.0 || thresholds.count_tol < 1.0)
@@ -93,6 +89,10 @@ int main(int argc, char** argv) {
       usage_error("unknown metric class '" + cls +
                   "' (want time, count, identity, higher)");
   }
+  // An empty list would compare nothing and pass vacuously.
+  if (!thresholds.check_time && !thresholds.check_count &&
+      !thresholds.check_identity && !thresholds.check_higher)
+    usage_error("--classes names no metric class (got '" + classes + "')");
 
   const Artifact baseline = load_checked(baseline_path);
   const Artifact candidate = load_checked(candidate_path);
@@ -115,4 +115,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "  " << result.regressions.size() << " regression(s)\n";
   return 1;
+} catch (const minmach::CliError& error) {
+  // A malformed command line (a bare token, an unknown flag, a number that
+  // does not parse) from Cli's constructor or any getter.
+  usage_error(error.what());
 }
