@@ -1,7 +1,6 @@
 #include "minmach/adversary/strong_lb.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -36,11 +35,16 @@ class HeldTicks {
   BigInt grid_;
 };
 
-// The game keeps every time and length in ticks of the simulator's grid
-// and writes them with submit_ticks()/run_until_ticks(). A value it
-// derives as a fraction of another refines the grid just enough to hold
-// it, so the grid stays the lcm of every value's denominator. It plays at
-// speed 1, where remaining work equals remaining wall time.
+// The game keeps every time and length in ticks of its grid and writes
+// them with submit_ticks()/run_until_ticks(). A value it derives as a
+// fraction of another refines the game's grid just enough to hold it, so
+// the grid stays the lcm of every value's denominator. The game owes the
+// simulator those refinements and pays them as one, just before its next
+// simulator call: back-to-back fractions (eps'/2 and then a base gadget's
+// three, say) cost the live ticks one rescale. While nothing is owed the
+// game's grid is the simulator's, so a refinement a policy's wake-up
+// makes during a run reads through. It plays at speed 1, where remaining
+// work equals remaining wall time.
 class StrongLbGame {
  public:
   StrongLbGame(OnlinePolicy& policy, MachineOfFn machine_of,
@@ -86,12 +90,15 @@ class StrongLbGame {
     // Histograms (not gauges): commutative merges keep parallel sweeps
     // byte-deterministic. den_bits tracks how fast the rescaling blows up
     // the rationals' denominators per recursion level: the bit length of
-    // the canonical denominator of scale / D.
-    obs::Registry& registry = obs::Registry::global();
-    registry.histogram("adversary.level_depth").observe(k);
-    registry.histogram("adversary.den_bits")
-        .observe(static_cast<std::int64_t>(
-            (sim_.grid() / BigInt::gcd(scale, sim_.grid())).bit_length()));
+    // the canonical denominator of scale / D. Each metric is registered at
+    // its first use, so a run's report lists only the metrics it moved.
+    static obs::Histogram& level_depth =
+        obs::Registry::global().histogram("adversary.level_depth");
+    static obs::Histogram& den_bits =
+        obs::Registry::global().histogram("adversary.den_bits");
+    level_depth.observe(k);
+    den_bits.observe(static_cast<std::int64_t>(
+        (grid() / BigInt::gcd(scale, grid())).bit_length()));
     if (k == 2) return base(std::move(start), std::move(scale));
 
     Level prev = build(k - 1, std::move(start), std::move(scale));
@@ -100,7 +107,7 @@ class StrongLbGame {
     // from the opponent's actual schedule (Equation (2)).
     BigInt least = at(prev.eps);
     for (JobId id : prev.critical) {
-      const BigInt& left = sim_.remaining_ticks(id);
+      const BigInt& left = remaining(id);
       check(!left.is_zero(), "critical job finished before its critical time");
       if (left < least) least = left;
     }
@@ -110,15 +117,16 @@ class StrongLbGame {
     // Scaled copy of I_{k-1} inside [t0, t0 + eps'/2].
     Level sub = build(k - 1, at(prev.t0), at(half));
 
-    std::set<std::size_t> prev_machines = machines_of(prev.critical);
-    std::set<std::size_t> sub_machines = machines_of(sub.critical);
+    machines_of(prev.critical, prev_machines_);
+    machines_of(sub.critical, sub_machines_);
 
-    if (sub_machines != prev_machines) {
+    if (sub_machines_ != prev_machines_) {
       // Case 1: some critical job of the copy sits on a fresh machine.
       for (JobId id : sub.critical) {
-        std::size_t m = machine_of(id);
-        if (!prev_machines.contains(m)) {
-          obs::Registry::global().counter("adversary.case1").add();
+        if (!on_prev_machine(machine_of(id))) {
+          static obs::Counter& case1 =
+              obs::Registry::global().counter("adversary.case1");
+          case1.add();
           if (obs::trace_enabled())
             obs::trace_event("adversary", "level",
                              {{"k", k}, {"case", 1}, {"t0", rat(sub.t0)},
@@ -136,12 +144,11 @@ class StrongLbGame {
     // Case 2: same machine set. Release j* that cannot share a machine
     // with any unfinished critical job of the copy, in the window
     // [t'_0, t_0 + eps') of length W; t'_0 is now.
-    HeldTicks window =
-        hold(at(prev.t0) + at(eps_prime) - sim_.now_ticks());  // W
+    HeldTicks window = hold(at(prev.t0) + at(eps_prime) - now());  // W
     BigInt min_rem;
     bool first = true;
     for (JobId id : sub.critical) {
-      const BigInt& left = sim_.remaining_ticks(id);
+      const BigInt& left = remaining(id);
       check(!left.is_zero(), "copy's critical job finished before t'_0");
       if (first || left < min_rem) min_rem = left;
       first = false;
@@ -153,27 +160,26 @@ class StrongLbGame {
     const BigInt processing = fraction_of(lower + at(window), 1, 2);
     HeldTicks laxity = hold(at(window) - processing);
 
-    const JobId star_id = sim_.submit_ticks(
-        sim_.now_ticks(), at(prev.t0) + at(eps_prime), processing);
-    sim_.run_until_ticks(at(prev.t0) + at(half));  // t''_0
+    const JobId star_id =
+        submit(now(), at(prev.t0) + at(eps_prime), processing);
+    run_until(at(prev.t0) + at(half));  // t''_0
 
-    check(!prev_machines.contains(machine_of(star_id)),
+    check(!on_prev_machine(machine_of(star_id)),
           "opponent placed j* on a critical machine despite infeasibility");
-    check(!sim_.remaining_ticks(star_id).is_zero(),
-          "j* finished before t''_0");
+    check(!remaining(star_id).is_zero(), "j* finished before t''_0");
     for (JobId id : prev.critical)
-      check(!sim_.remaining_ticks(id).is_zero(),
-            "old critical job finished early");
+      check(!remaining(id).is_zero(), "old critical job finished early");
 
-    obs::Registry::global().counter("adversary.case2").add();
+    static obs::Counter& case2 =
+        obs::Registry::global().counter("adversary.case2");
+    case2.add();
     if (obs::trace_enabled())
       obs::trace_event("adversary", "level",
-                       {{"k", k}, {"case", 2},
-                        {"t0", Rat(sim_.now_ticks(), sim_.grid())},
+                       {{"k", k}, {"case", 2}, {"t0", Rat(now(), grid())},
                         {"eps", rat(laxity)},
                         {"critical", prev.critical.size() + 1}});
     // The laxity of j* is the idle margin on machine 1.
-    Level out{prev.critical, hold(sim_.now_ticks()), std::move(laxity)};
+    Level out{prev.critical, hold(now()), std::move(laxity)};
     out.critical.push_back(star_id);
     check_distinct(out.critical);
     return out;
@@ -181,41 +187,42 @@ class StrongLbGame {
 
   // Base gadget I_2 in [start, start + scale).
   Level base(BigInt start_ticks, BigInt scale_ticks) {
-    obs::Registry::global().counter("adversary.base_gadgets").add();
+    static obs::Counter& base_gadgets =
+        obs::Registry::global().counter("adversary.base_gadgets");
+    base_gadgets.add();
     HeldTicks start = hold(std::move(start_ticks));
     HeldTicks scale = hold(std::move(scale_ticks));
 
+    // Short jobs: beta * scale windows, alpha of each one processing.
+    // They and j_1's alpha * scale are derived before the first submit,
+    // so the three share one refinement.
+    HeldTicks short_len = hold(
+        fraction_of(at(scale), params_.beta.num(), params_.beta.den()));
+    HeldTicks short_p = hold(fraction_of(
+        at(short_len), params_.alpha.num(), params_.alpha.den()));
     // j_1 = (start, start + scale, alpha * scale), latest start a_1.
     const BigInt long_p = fraction_of(at(scale), params_.alpha.num(),
                                       params_.alpha.den());
     BigInt j1_deadline = at(start) + at(scale);
     HeldTicks a1 = hold(j1_deadline - long_p);  // r + (1-alpha) * scale
-    const JobId j1_id =
-        sim_.submit_ticks(at(start), std::move(j1_deadline), long_p);
-    sim_.run_until_ticks(at(a1));
+    const JobId j1_id = submit(at(start), std::move(j1_deadline), long_p);
+    run_until(at(a1));
 
-    // Short jobs: beta * scale windows, alpha of each one processing.
-    HeldTicks short_len = hold(
-        fraction_of(at(scale), params_.beta.num(), params_.beta.den()));
-    HeldTicks short_p = hold(fraction_of(
-        at(short_len), params_.alpha.num(), params_.alpha.den()));
     for (int i = 0; i < params_.max_short_jobs; ++i) {
-      sim_.run_until_ticks(at(a1) + at(short_len) * i);
+      run_until(at(a1) + at(short_len) * i);
       const JobId short_id =
-          sim_.submit_ticks(sim_.now_ticks(),
-                            sim_.now_ticks() + at(short_len), at(short_p));
+          submit(now(), now() + at(short_len), at(short_p));
       // Policies commit at release; deliver the release event.
-      sim_.run_until_ticks(sim_.now_ticks());
+      run_until(now());
       if (machine_of(short_id) != machine_of(j1_id)) {
         // j_2 found; critical time t_0 = a_{j2}.
-        sim_.run_until_ticks(sim_.now_ticks() + at(short_len) - at(short_p));
-        check(!sim_.remaining_ticks(j1_id).is_zero(), "j1 finished before t0");
-        check(!sim_.remaining_ticks(short_id).is_zero(),
-              "j2 finished before t0");
+        run_until(now() + at(short_len) - at(short_p));
+        check(!remaining(j1_id).is_zero(), "j1 finished before t0");
+        check(!remaining(short_id).is_zero(), "j2 finished before t0");
         // Offline: j2 idles [t0, t0 + (1-alpha)*beta*scale), j1 can absorb
         // up to its laxity (1-alpha)*scale; the former is smaller.
         Level out{{j1_id, short_id},
-                  hold(sim_.now_ticks()),
+                  hold(now()),
                   hold(at(short_len) - at(short_p))};
         check_distinct(out.critical);
         return out;
@@ -227,29 +234,64 @@ class StrongLbGame {
   }
 
   // value * num / den in ticks, for value in ticks and 0 < num/den < 1.
-  // When the result lies off the grid, the grid refines by
+  // When the result lies off the grid, the game's grid refines by
   // f = den / gcd((value * num) mod den, den), the least factor that puts
   // it on the grid; that makes the grid lcm(D, the result's canonical
-  // denominator), as a submit of the result as a Rat would.
+  // denominator), as a submit of the result as a Rat would. The simulator
+  // is paid f with the rest of the debt at the game's next call.
   [[nodiscard]] BigInt fraction_of(const BigInt& value, const BigInt& num,
                                    const BigInt& den) {
     BigInt product = value * num;
     BigIntDivMod split = BigInt::div_mod(product, den);
     if (split.remainder.is_zero()) return std::move(split.quotient);
     const BigInt factor = den / BigInt::gcd(split.remainder, den);
-    sim_.refine(factor);
+    if (!owing_) {
+      owed_ = 1;
+      owed_grid_ = sim_.grid();
+      owing_ = true;
+    }
+    owed_ *= factor;
+    owed_grid_ *= factor;
     return product * factor / den;
   }
 
+  // The game's grid: the simulator's, refined by what the game owes it.
+  [[nodiscard]] const BigInt& grid() const {
+    return owing_ ? owed_grid_ : sim_.grid();
+  }
+
+  // The simulator calls. Each pays the debt first, so a tick the game
+  // passes or reads is on both grids at once.
+  void pay() {
+    if (!owing_) return;
+    sim_.refine(owed_);
+    owing_ = false;
+  }
+  JobId submit(BigInt release, BigInt deadline, BigInt wall) {
+    pay();
+    return sim_.submit_ticks(std::move(release), std::move(deadline),
+                             std::move(wall));
+  }
+  void run_until(const BigInt& t) {
+    pay();
+    sim_.run_until_ticks(t);
+  }
+  [[nodiscard]] const BigInt& now() {
+    pay();
+    return sim_.now_ticks();
+  }
+  [[nodiscard]] const BigInt& remaining(JobId id) {
+    pay();
+    return sim_.remaining_ticks(id);
+  }
+
   [[nodiscard]] HeldTicks hold(BigInt ticks) const {
-    return {std::move(ticks), sim_.grid()};
+    return {std::move(ticks), grid()};
   }
   [[nodiscard]] const BigInt& at(HeldTicks& value) const {
-    return value.on(sim_.grid());
+    return value.on(grid());
   }
-  [[nodiscard]] Rat rat(HeldTicks& value) const {
-    return {at(value), sim_.grid()};
-  }
+  [[nodiscard]] Rat rat(HeldTicks& value) const { return {at(value), grid()}; }
 
   std::size_t machine_of(JobId id) const {
     auto m = machine_of_fn_(id);
@@ -258,14 +300,22 @@ class StrongLbGame {
     return *m;
   }
 
-  std::set<std::size_t> machines_of(const std::vector<JobId>& ids) const {
-    std::set<std::size_t> out;
-    for (JobId id : ids) out.insert(machine_of(id));
-    return out;
+  // The machines of the jobs, ascending and without repeats, in `out`.
+  void machines_of(const std::vector<JobId>& ids,
+                   std::vector<std::size_t>& out) const {
+    out.clear();
+    for (JobId id : ids) out.push_back(machine_of(id));
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+  }
+  [[nodiscard]] bool on_prev_machine(std::size_t machine) const {
+    return std::binary_search(prev_machines_.begin(), prev_machines_.end(),
+                              machine);
   }
 
-  void check_distinct(const std::vector<JobId>& ids) const {
-    check(machines_of(ids).size() == ids.size(),
+  void check_distinct(const std::vector<JobId>& ids) {
+    machines_of(ids, distinct_machines_);
+    check(distinct_machines_.size() == ids.size(),
           "critical jobs share a machine");
   }
 
@@ -279,6 +329,17 @@ class StrongLbGame {
   MachineOfFn machine_of_fn_;
   StrongLbParams params_;
   Simulator sim_;
+  // The refinement the game owes the simulator, and its grid with it; both
+  // are read only while owing_.
+  bool owing_ = false;
+  BigInt owed_;
+  BigInt owed_grid_;
+  // One level's machine sets of the earlier and the copy's critical jobs,
+  // and check_distinct's, reused across levels (no level recurses while
+  // it reads them).
+  std::vector<std::size_t> prev_machines_;
+  std::vector<std::size_t> sub_machines_;
+  std::vector<std::size_t> distinct_machines_;
   std::vector<StrongLbLevelSlice> slices_;
 };
 
@@ -299,6 +360,7 @@ StrongLbResult run_strong_lower_bound(OnlinePolicy& policy,
   result.critical_time = game.rat(top.t0);
 
   // Let the opponent finish everything it can; then collect the record.
+  game.pay();
   game.sim_.run_to_completion();
   game.sim_.publish_metrics(policy.name());
   result.instance = game.sim_.instance();

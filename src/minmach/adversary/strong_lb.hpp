@@ -13,11 +13,17 @@
 // machine it committed each job to, and the remaining processing times at
 // the critical times). The game keeps every time and length as integer
 // ticks of the simulator's time grid (sim/engine.hpp) and refines the grid
-// when a value it derives (alpha * scale, beta * scale, eps'/2, p*) lies
-// off it, so its arithmetic is integer adds, compares and exact divisions.
-// Rats are built only for the result's critical_time and for trace events;
-// the adversary.den_bits observation (the bits of each level's scale in
-// lowest terms) costs one gcd per level.
+// when a value it derives (alpha * scale, beta * scale,
+// alpha * beta * scale, eps'/2, p*) lies off it, so its arithmetic is
+// integer adds, compares and exact divisions. The refinements it derives
+// between two simulator calls (eps'/2 and then a nested base gadget's
+// three, which the gadget derives before its first submit) are owed and
+// paid as one just before the next call, so the simulator rescales its
+// live ticks at most once per call; the grid every value is read on is
+// the same lcm either way. Rats are built only for the result's
+// critical_time and for trace events; the adversary.den_bits observation
+// (the bits of each level's scale in lowest terms) costs one gcd against
+// the grid per level.
 // This file implements the recursion verbatim:
 //   base k = 2: a long job j_1 (p = alpha * scale) plus a stream of short
 //     jobs (p = alpha*beta*scale in beta*scale windows) that cannot all

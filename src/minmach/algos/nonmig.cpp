@@ -6,36 +6,61 @@
 
 namespace minmach {
 
+namespace {
+
+// EDF order on the simulator's grid: earlier deadline first, the lower id
+// on a tie.
+bool edf_before(const Simulator& sim, JobId a, JobId b) {
+  const auto order = sim.deadline_ticks(a) <=> sim.deadline_ticks(b);
+  return order < 0 || (order == 0 && a < b);
+}
+
+}  // namespace
+
 void NonMigratoryPolicy::on_release(Simulator& sim, JobId job) {
   std::size_t machine = choose_machine(sim, job);
   if (machine >= assigned_.size()) assigned_.resize(machine + 1);
-  assigned_[machine].push_back(job);
+  // Every listed deadline is on the current grid: a job that finished
+  // leaves its list at the dispatch of the instant it finished, before the
+  // grid can refine again.
+  std::vector<JobId>& jobs = assigned_[machine];
+  jobs.insert(std::upper_bound(jobs.begin(), jobs.end(), job,
+                               [&](JobId a, JobId b) {
+                                 return edf_before(sim, a, b);
+                               }),
+              job);
   if (job >= machine_by_job_.size()) machine_by_job_.resize(job + 1);
   machine_by_job_[job] = machine;
+  mark_dirty(machine);
 }
 
-void NonMigratoryPolicy::on_complete(Simulator&, JobId) {}
+void NonMigratoryPolicy::on_complete(Simulator&, JobId job) {
+  if (auto machine = machine_of(job)) mark_dirty(*machine);
+}
 
-void NonMigratoryPolicy::on_miss(Simulator&, JobId) {}
+void NonMigratoryPolicy::on_miss(Simulator&, JobId job) {
+  if (auto machine = machine_of(job)) mark_dirty(*machine);
+}
+
+void NonMigratoryPolicy::mark_dirty(std::size_t machine) {
+  if (machine >= is_dirty_.size()) is_dirty_.resize(machine + 1, false);
+  if (is_dirty_[machine]) return;
+  is_dirty_[machine] = true;
+  dirty_.push_back(machine);
+}
 
 void NonMigratoryPolicy::dispatch(Simulator& sim) {
-  for (std::size_t m = 0; m < assigned_.size(); ++m) {
-    // Drop finished/missed jobs lazily.
-    std::erase_if(assigned_[m], [&](JobId id) {
+  // A machine no event touched keeps its active jobs, and so its EDF
+  // choice, which the simulator still runs.
+  for (std::size_t m : dirty_) {
+    std::vector<JobId>& jobs = assigned_[m];
+    std::erase_if(jobs, [&](JobId id) {
       return sim.finished(id) || sim.missed(id);
     });
-    // Earliest deadline among this machine's active jobs.
-    JobId best = kInvalidJob;
-    for (JobId id : assigned_[m]) {
-      if (best == kInvalidJob) {
-        best = id;
-        continue;
-      }
-      const auto order = sim.deadline_ticks(id) <=> sim.deadline_ticks(best);
-      if (order < 0 || (order == 0 && id < best)) best = id;
-    }
-    sim.set_running(m, best);
+    sim.set_running(m, jobs.empty() ? kInvalidJob : jobs.front());
+    is_dirty_[m] = false;
   }
+  dirty_.clear();
 }
 
 std::optional<std::size_t> NonMigratoryPolicy::machine_of(JobId job) const {
@@ -52,28 +77,28 @@ bool NonMigratoryPolicy::machine_can_take(const Simulator& sim,
   // has already finished the running jobs with no work left. So every
   // commitment is available at now, and preemptive EDF meets all deadlines
   // iff, in deadline order, now + prefix wall time <= deadline for every
-  // prefix. Remaining ticks are wall time at the machine speed, so the
-  // test is integer adds and compares at any speed. Ties in deadline do
-  // not change the verdict: the last job of a tie group carries the
-  // group's largest prefix.
-  commit_scratch_.clear();
-  if (machine < assigned_.size()) {
-    for (JobId id : assigned_[machine])
-      if (!sim.finished(id) && !sim.missed(id) &&
-          !sim.remaining_ticks(id).is_zero())
-        commit_scratch_.push_back(id);
-  }
-  if (!sim.remaining_ticks(job).is_zero()) commit_scratch_.push_back(job);
-  std::sort(commit_scratch_.begin(), commit_scratch_.end(),
-            [&](JobId a, JobId b) {
-              return sim.deadline_ticks(a) < sim.deadline_ticks(b);
-            });
+  // prefix. The machine's list is in that order already, so the new job
+  // is merged in during the one pass. Remaining ticks are wall time at the
+  // machine speed, so the test is integer adds and compares at any speed.
   finish_scratch_ = sim.now_ticks();
-  for (JobId id : commit_scratch_) {
+  const auto meets_deadline = [&](JobId id) {
     finish_scratch_ += sim.remaining_ticks(id);
-    if (finish_scratch_ > sim.deadline_ticks(id)) return false;
+    return finish_scratch_ <= sim.deadline_ticks(id);
+  };
+  bool merged = sim.remaining_ticks(job).is_zero();
+  if (machine < assigned_.size()) {
+    for (JobId id : assigned_[machine]) {
+      if (sim.finished(id) || sim.missed(id) ||
+          sim.remaining_ticks(id).is_zero())
+        continue;
+      if (!merged && edf_before(sim, job, id)) {
+        merged = true;
+        if (!meets_deadline(job)) return false;
+      }
+      if (!meets_deadline(id)) return false;
+    }
   }
-  return true;
+  return merged || meets_deadline(job);
 }
 
 const std::vector<std::size_t>& NonMigratoryPolicy::feasible_machines_pooled(

@@ -5,9 +5,15 @@
 // gains nothing from delaying the commitment past a_j = r_j + l_j, and the
 // lower-bound game of Section 3 observes commitments through processing).
 // Per machine the dispatcher runs preemptive EDF over the assigned active
-// jobs, which is optimal for a fixed assignment. The admission test is
-// Jackson's rule on the machine's commitments (every one of them is
-// available at the release), so it decides EDF feasibility exactly. The
+// jobs, which is optimal for a fixed assignment. Each machine keeps its
+// commitments in (deadline ticks, id) order from the moment a job is
+// committed; a grid refinement scales every deadline by one factor, so
+// the order never goes stale. A dispatch re-decides only the machines a
+// release, completion or miss touched since the last one (every other
+// machine's EDF choice is unchanged) and runs the front active job of
+// each. The admission test is Jackson's rule on the machine's commitments
+// (every one of them is available at the release), merged with the new
+// job in one ordered pass, so it decides EDF feasibility exactly. The
 // dispatcher, the admission test and the machine loads read the
 // simulator's grid view (ticks of now, deadlines and remaining wall time),
 // so they add and compare integers at any machine speed.
@@ -29,9 +35,11 @@ namespace minmach {
 
 class NonMigratoryPolicy : public OnlinePolicy {
  public:
+  // The three event callbacks mark the machine they touch for the next
+  // dispatch.
   void on_release(Simulator& sim, JobId job) final;
-  void on_complete(Simulator& sim, JobId job) override;
-  void on_miss(Simulator& sim, JobId job) override;
+  void on_complete(Simulator& sim, JobId job) final;
+  void on_miss(Simulator& sim, JobId job) final;
   void dispatch(Simulator& sim) override;
 
   // Machine the job was committed to (set at its release).
@@ -57,17 +65,23 @@ class NonMigratoryPolicy : public OnlinePolicy {
   [[nodiscard]] BigInt machine_load(const Simulator& sim,
                                     std::size_t machine) const;
 
+  // The jobs committed to a machine, in (deadline ticks, id) order. Jobs
+  // that finished or missed since the machine's last dispatch may still
+  // be listed.
   [[nodiscard]] const std::vector<JobId>& jobs_on(std::size_t machine) const {
     return assigned_[machine];
   }
 
  private:
+  void mark_dirty(std::size_t machine);
+
   std::vector<std::vector<JobId>> assigned_;
   std::vector<std::optional<std::size_t>> machine_by_job_;
-  // Admission-test scratch (the jobs with work left on the probed
-  // machine), reused across the per-release probe of every open machine
-  // (mutable: the probes are logically const queries).
-  mutable std::vector<JobId> commit_scratch_;
+  // Machines touched since the last dispatch, each listed once.
+  std::vector<std::size_t> dirty_;
+  std::vector<bool> is_dirty_;
+  // Admission-test scratch, reused across the per-release probe of every
+  // open machine (mutable: the probes are logically const queries).
   mutable BigInt finish_scratch_;  // the running prefix finish, in ticks
   mutable std::vector<std::size_t> feasible_scratch_;
 };

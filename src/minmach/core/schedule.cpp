@@ -14,8 +14,7 @@ std::size_t Schedule::used_machine_count() const {
   return used;
 }
 
-void Schedule::add_slot(std::size_t machine, Rat start, Rat end, JobId job) {
-  if (end <= start) return;  // empty slots are silently dropped
+std::vector<Slot>& Schedule::machine_slots(std::size_t machine) {
   while (machine >= machines_.size()) {
     // Reuse a parked slot vector from clear() before allocating a new one.
     if (!spare_.empty()) {
@@ -25,7 +24,16 @@ void Schedule::add_slot(std::size_t machine, Rat start, Rat end, JobId job) {
       machines_.emplace_back();
     }
   }
-  machines_[machine].push_back({std::move(start), std::move(end), job});
+  return machines_[machine];
+}
+
+void Schedule::add_slot(std::size_t machine, Rat start, Rat end, JobId job) {
+  if (end <= start) return;  // empty slots are silently dropped
+  machine_slots(machine).push_back({std::move(start), std::move(end), job});
+}
+
+void Schedule::reserve_slots(std::size_t machine, std::size_t slots) {
+  machine_slots(machine).reserve(slots);
 }
 
 void Schedule::canonicalize() {
@@ -37,18 +45,24 @@ void Schedule::canonicalize() {
     // most machines need no sort. Equal starts throw below either way.
     if (!std::is_sorted(machine.begin(), machine.end(), by_start))
       std::sort(machine.begin(), machine.end(), by_start);
-    std::vector<Slot> merged;
-    for (auto& slot : machine) {
-      if (!merged.empty() && slot.start < merged.back().end)
-        throw std::logic_error("Schedule: overlapping slots on one machine");
-      if (!merged.empty() && merged.back().job == slot.job &&
-          merged.back().end == slot.start) {
-        merged.back().end = slot.end;
-      } else {
-        merged.push_back(std::move(slot));
+    // machine[0, kept) holds the merged slots so far.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < machine.size(); ++i) {
+      Slot& slot = machine[i];
+      if (kept != 0) {
+        Slot& last = machine[kept - 1];
+        if (slot.start < last.end)
+          throw std::logic_error("Schedule: overlapping slots on one machine");
+        if (last.job == slot.job && last.end == slot.start) {
+          last.end = std::move(slot.end);
+          continue;
+        }
       }
+      if (kept != i) machine[kept] = std::move(slot);
+      ++kept;
     }
-    machine = std::move(merged);
+    machine.erase(machine.begin() + static_cast<std::ptrdiff_t>(kept),
+                  machine.end());
   }
 }
 

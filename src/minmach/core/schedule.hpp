@@ -44,6 +44,10 @@ class Schedule {
   // Appends a slot; grows the machine list as needed. Call canonicalize()
   // before querying once all slots are in.
   void add_slot(std::size_t machine, Rat start, Rat end, JobId job);
+  // Makes room for `slots` slots on the machine (growing the machine list
+  // as needed), so a producer that knows its counts fills each machine's
+  // list without regrowing it.
+  void reserve_slots(std::size_t machine, std::size_t slots);
 
   // Drops all machines and slots, parking each machine's slot vector in a
   // spare pool that add_slot draws from, so a clear-and-refill cycle (the
@@ -61,8 +65,9 @@ class Schedule {
   }
 
   // Sorts every machine's slots by start time and merges back-to-back slots
-  // of the same job. Throws std::logic_error if two slots on one machine
-  // overlap (that is a bug in the producer, not a validation question).
+  // of the same job, in place. Throws std::logic_error if two slots on one
+  // machine overlap (that is a bug in the producer, not a validation
+  // question); the schedule is then left unspecified.
   void canonicalize();
 
   // Total time the job is processed (wall time across all machines).
@@ -91,6 +96,9 @@ class Schedule {
   [[nodiscard]] std::string to_string() const;
 
  private:
+  // The machine's slot list, growing the machine list as needed.
+  std::vector<Slot>& machine_slots(std::size_t machine);
+
   std::vector<std::vector<Slot>> machines_;
   std::vector<std::vector<Slot>> spare_;  // cleared machines' storage, reused
 };

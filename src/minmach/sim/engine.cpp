@@ -477,7 +477,15 @@ Schedule Simulator::schedule() const {
   times.reserve(trace_points_.size());
   for (const TracePoint& point : trace_points_)
     times.emplace_back(point.ticks, trace_grids_[point.grid]);
-  Schedule out;
+  // Each machine's slot count first, so each list is allocated once. The
+  // schedule lists machines up to the last one with a slot.
+  std::vector<std::size_t> per_machine(last_slot_.size(), 0);
+  for (const TickSlot& slot : trace_) ++per_machine[slot.machine];
+  std::size_t machines = per_machine.size();
+  while (machines != 0 && per_machine[machines - 1] == 0) --machines;
+  Schedule out(machines);
+  for (std::size_t m = 0; m < machines; ++m)
+    out.reserve_slots(m, per_machine[m]);
   for (const TickSlot& slot : trace_)
     out.add_slot(slot.machine, times[slot.start], times[slot.end], slot.job);
   out.canonicalize();

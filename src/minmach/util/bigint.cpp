@@ -117,6 +117,31 @@ void shift_left_mag(const Limb* p, std::size_t n, int s, Limb* out) {
   out[n] = p[n - 1] >> (64 - s);
 }
 
+// Writes the magnitude (p, n) shifted right by `bits` bits to `out` (n -
+// bits / 64 limbs) and returns the trimmed limb count. `bits` must not
+// exceed the number of trailing zero bits, so no set bit is lost.
+std::size_t shift_right_mag(const Limb* p, std::size_t n, std::size_t bits,
+                            Limb* out) {
+  const std::size_t words = bits / 64;
+  const int s = static_cast<int>(bits % 64);
+  const std::size_t m = n - words;
+  if (s == 0) {
+    std::copy(p + words, p + n, out);
+  } else {
+    for (std::size_t i = 0; i + 1 < m; ++i)
+      out[i] = (p[i + words] >> s) | (p[i + words + 1] << (64 - s));
+    out[m - 1] = p[n - 1] >> s;
+  }
+  return trim_mag(out, m);
+}
+
+// Trailing zero bits of a nonzero magnitude.
+std::size_t trailing_zero_bits(const Limb* p) {
+  std::size_t i = 0;
+  while (p[i] == 0) ++i;
+  return 64 * i + static_cast<std::size_t>(std::countr_zero(p[i]));
+}
+
 struct MagSpan {
   const Limb* data = nullptr;
   std::size_t size = 0;
@@ -239,17 +264,22 @@ void div_mod_mag(const Limb* dividend, std::size_t nd, const Limb* divisor,
 std::uint64_t gcd_u64(std::uint64_t a, std::uint64_t b) {
   if (a == 0) return b;
   if (b == 0) return a;
-  int az = std::countr_zero(a);
-  int bz = std::countr_zero(b);
-  int shift = az < bz ? az : bz;
-  a >>= az;
-  // Binary gcd: both operands odd at the top of every iteration.
-  while (b != 0) {
-    b >>= std::countr_zero(b);
-    if (a > b) std::swap(a, b);
-    b -= a;
+  const int shift = std::countr_zero(a | b);
+  a >>= std::countr_zero(a);
+  // Binary gcd with a odd throughout: (a, b) becomes (min(a, b'), |a - b'|)
+  // for b' = b without its twos. The next step's twos are counted on the
+  // difference (x and -x have the same trailing zeros), in parallel with
+  // the min and the absolute value.
+  int b_twos = std::countr_zero(b);
+  while (true) {
+    b >>= b_twos;
+    const std::uint64_t diff = b - a;
+    if (diff == 0) return a << shift;
+    b_twos = std::countr_zero(diff);
+    const std::uint64_t low = a < b ? a : b;
+    b = a < b ? diff : a - b;
+    a = low;
   }
-  return a << shift;
 }
 
 // Lehmer's leading parts are this wide so that u_hat + A and the other
@@ -537,20 +567,44 @@ BigInt BigInt::gcd(const BigInt& a_in, const BigInt& b_in) {
   Limb bs;
   MagView av = a_in.mag_view(as);
   MagView bv = b_in.mag_view(bs);
-  if (compare_mag(av.data, av.size, bv.data, bv.size) < 0) std::swap(av, bv);
+  if (av.size == 0) return from_mag(bv.data, bv.size, false);
   if (bv.size == 0) return from_mag(av.data, av.size, false);
 
+  // gcd(a, b) = 2^min(i, j) gcd(a / 2^i, b / 2^j) for a's i and b's j
+  // trailing zero bits. The simulator's grids are largely powers of two,
+  // so stripping them shortens the operands Lehmer runs on; an odd
+  // operand is copied as it is.
+  const std::size_t a_twos = trailing_zero_bits(av.data);
+  const std::size_t b_twos = trailing_zero_bits(bv.data);
+  const std::size_t twos = std::min(a_twos, b_twos);
+  const auto odd_part = [](MagView x, std::size_t x_twos, Limb* out) {
+    if (x_twos != 0) return shift_right_mag(x.data, x.size, x_twos, out);
+    std::copy(x.data, x.data + x.size, out);
+    return x.size;
+  };
+  // The gcd g of the odd parts, times 2^twos.
+  const auto with_twos = [&scope, twos](const Limb* g, std::size_t ng) {
+    if (twos == 0) return from_mag(g, ng, false);
+    const std::size_t words = twos / 64;
+    Limb* out = scope.alloc<Limb>(words + ng + 1);
+    std::fill(out, out + words, 0);
+    shift_left_mag(g, ng, static_cast<int>(twos % 64), out + words);
+    return from_mag(out, words + ng + 1, false);
+  };
+
   // (u, v) with u >= v, plus the two outputs of a step; every later value
-  // is at most u, so av.size limbs each suffice.
-  const std::size_t cap = av.size;
+  // is at most u, so cap limbs each suffice.
+  const std::size_t cap = std::max(av.size, bv.size);
   Limb* u = scope.alloc<Limb>(4 * cap);
   Limb* v = u + cap;
   Limb* t = v + cap;
   Limb* w = t + cap;
-  std::copy(av.data, av.data + av.size, u);
-  std::copy(bv.data, bv.data + bv.size, v);
-  std::size_t nu = av.size;
-  std::size_t nv = bv.size;
+  std::size_t nu = odd_part(av, a_twos, u);
+  std::size_t nv = odd_part(bv, b_twos, v);
+  if (compare_mag(u, nu, v, nv) < 0) {
+    std::swap(u, v);
+    std::swap(nu, nv);
+  }
   while (nv >= 2) {
     // u_hat and v_hat: bits [shift, shift + 62) of u and v.
     const std::size_t shift =
@@ -597,13 +651,13 @@ BigInt BigInt::gcd(const BigInt& a_in, const BigInt& b_in) {
       std::swap(v, w);
     }
   }
-  if (nv == 0) return from_mag(u, nu, false);
+  if (nv == 0) return with_twos(u, nu);
   // Single-limb v: one remainder pass brings u below 2^64 too.
   Limb rem = 0;
   for (std::size_t i = nu; i-- > 0;)
     rem = static_cast<Limb>(((static_cast<WideLimb>(rem) << 64) | u[i]) % v[0]);
   std::uint64_t g = gcd_u64(v[0], rem);
-  return from_mag(&g, 1, false);
+  return with_twos(&g, 1);
 }
 
 BigInt BigInt::lcm(const BigInt& a, const BigInt& b) {

@@ -152,7 +152,8 @@ class BigInt {
     return std::strong_ordering::equal;
   }
 
-  // Non-negative result. Limb-tier operands run Lehmer's algorithm
+  // Non-negative result. Limb-tier operands lose their factors of two
+  // (the common power comes back at the end) and run Lehmer's algorithm
   // (62-bit leading parts, int64 cofactors) on arena scratch.
   [[nodiscard]] static BigInt gcd(const BigInt& a, const BigInt& b);
   [[nodiscard]] static BigInt lcm(const BigInt& a, const BigInt& b);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -468,6 +469,67 @@ TEST(BigIntGcd, FibonacciPairsUpToFourteenHundredBits) {
         << "k=" << k;
   }
   for (int k = 80; k < kMax; k += 97) expect_gcd_properties(fib[k], fib[k + 1]);
+}
+
+// BigInt::gcd strips both operands' factors of two before Lehmer's loop
+// and shifts their common power back in at the end. Odd operands times
+// 2^i, with i at and around the limb boundaries, check the strip and the
+// restore; a power of two strips to 1.
+TEST(BigIntGcd, FactorsOfTwoAroundLimbBoundaries) {
+  const int kShifts[] = {0, 1, 63, 64, 65, 127, 128, 191, 200};
+  Rng rng(19);
+  const auto random_odd = [&rng](int limbs) {
+    BigInt x = random_limbs(rng, limbs);
+    return (x % BigInt(2)).is_zero() ? x + BigInt(1) : x;
+  };
+  for (int i : kShifts) {
+    for (int j : kShifts) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const BigInt a = random_odd(static_cast<int>(rng.uniform_int(1, 4)));
+        const BigInt b = random_odd(static_cast<int>(rng.uniform_int(1, 4)));
+        const BigInt common = random_odd(static_cast<int>(rng.uniform_int(1, 2)));
+        expect_gcd_properties(a * power_of_two(i), b * power_of_two(j));
+        expect_gcd_properties(a * common * power_of_two(i),
+                              b * common * power_of_two(j));
+        EXPECT_EQ(BigInt::gcd(a * common * power_of_two(i),
+                              a * common * power_of_two(j)),
+                  a * common * power_of_two(std::min(i, j)));
+      }
+      expect_gcd_properties(power_of_two(i), power_of_two(j));
+      EXPECT_EQ(BigInt::gcd(power_of_two(i), power_of_two(j)),
+                power_of_two(std::min(i, j)));
+      const BigInt odd = random_odd(3);
+      expect_gcd_properties(power_of_two(i), odd * power_of_two(j));
+      EXPECT_EQ(BigInt::gcd(power_of_two(i), odd * power_of_two(j)),
+                power_of_two(std::min(i, j)));
+    }
+  }
+}
+
+// The Theorem 3 game's grids end at 2^350, 2^222 5^64, 2^126 5^128 and
+// 2^190 3^128 (one per (alpha, beta) pair against FirstFit), and its
+// den_bits and job-record gcds take one operand on such a grid.
+TEST(BigIntGcd, OperandsOnTheGameGrids) {
+  const auto power = [](std::int64_t base, int e) {
+    BigInt out(1);
+    for (int k = 0; k < e; ++k) out *= BigInt(base);
+    return out;
+  };
+  const BigInt grids[] = {power(2, 350), power(2, 222) * power(5, 64),
+                          power(2, 126) * power(5, 128),
+                          power(2, 190) * power(3, 128)};
+  Rng rng(20);
+  for (const BigInt& grid : grids) {
+    const int limbs = static_cast<int>(grid.bit_length() / 64) + 1;
+    for (int trial = 0; trial < 40; ++trial) {
+      const BigInt x = random_limbs(rng, limbs) % grid;
+      expect_gcd_properties(x, grid);
+      // A value with many of the grid's twos, as a level's scale has.
+      const BigInt scaled =
+          x * power_of_two(static_cast<int>(rng.uniform_int(0, 200))) % grid;
+      expect_gcd_properties(scaled, grid);
+    }
+  }
 }
 
 // 2^a - 1 and 2^b - 1 share 2^gcd(a, b) - 1; the 2^k + 1 pairs exercise long

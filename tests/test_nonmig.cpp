@@ -204,6 +204,108 @@ TEST(FitPolicy, AdmissionMatchesEventDrivenEdfInStrongLbGames) {
   }
 }
 
+// Wraps a non-migratory policy and checks, after every dispatch, that each
+// open machine lists its active commitments in (deadline ticks, id) order
+// and runs the EDF job a full scan of every job committed to it picks.
+// The scan reads machine_of(), not the machine's list.
+template <class Policy>
+class DispatchChecked : public Policy {
+ public:
+  using Policy::Policy;
+
+  std::size_t dispatches = 0;
+
+  void dispatch(Simulator& sim) override {
+    Policy::dispatch(sim);
+    ++dispatches;
+    const auto active = [&](JobId id) {
+      return sim.released(id) && !sim.finished(id) && !sim.missed(id);
+    };
+    const auto edf_before = [&](JobId a, JobId b) {
+      const auto order = sim.deadline_ticks(a) <=> sim.deadline_ticks(b);
+      return order < 0 || (order == 0 && a < b);
+    };
+    for (std::size_t m = 0; m < this->open_machines(); ++m) {
+      JobId previous = kInvalidJob;
+      for (JobId id : this->jobs_on(m)) {
+        if (!active(id)) continue;
+        if (previous != kInvalidJob) {
+          EXPECT_TRUE(edf_before(previous, id))
+              << "machine " << m << " lists job " << previous
+              << " before job " << id << " at t=" << sim.now();
+        }
+        previous = id;
+      }
+      JobId edf = kInvalidJob;
+      for (JobId id = 0; id < sim.job_count(); ++id) {
+        if (!active(id) || this->machine_of(id) != m) continue;
+        if (edf == kInvalidJob || edf_before(id, edf)) edf = id;
+      }
+      EXPECT_EQ(sim.running_on(m), edf)
+          << "machine " << m << " at t=" << sim.now();
+    }
+  }
+};
+
+// Commits every job to machine 0, which overloads it: deadlines pass with
+// work left, so the policy's on_miss runs.
+class MachineZero : public NonMigratoryPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "MachineZero"; }
+
+ protected:
+  std::size_t choose_machine(Simulator&, JobId) override { return 0; }
+};
+
+const FitRule kAllRules[] = {FitRule::kFirstFit, FitRule::kBestFit,
+                             FitRule::kWorstFit, FitRule::kRandomFit,
+                             FitRule::kNextFit};
+
+TEST(FitPolicy, DispatchRunsTheEdfJobOfEveryMachineOnEveryFamily) {
+  const Rat alpha(1, 2);
+  GenConfig config;
+  config.n = 40;
+  std::size_t misses = 0;
+  for (const Rat& speed : {Rat(1), Rat(3, 2)}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      Rng rng(seed);
+      const Instance instances[] = {
+          gen_general(rng, config),
+          gen_agreeable(rng, config),
+          gen_laminar(rng, config),
+          gen_loose(rng, config, alpha),
+          gen_tight(rng, config, alpha),
+          gen_agreeable_tight(rng, config, alpha),
+          gen_laminar_tight(rng, config, alpha),
+          gen_unit(rng, config)};
+      for (const Instance& in : instances) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " speed " << speed);
+        for (FitRule rule : kAllRules) {
+          DispatchChecked<FitPolicy> policy(rule, seed);
+          SimRun run = simulate(policy, in, speed);
+          EXPECT_FALSE(run.missed) << policy.name();
+          EXPECT_GT(policy.dispatches, 0u);
+        }
+        DispatchChecked<MachineZero> overloaded;
+        SimRun run = simulate(overloaded, in, speed, /*require_no_miss=*/false);
+        if (run.missed) ++misses;
+      }
+    }
+  }
+  EXPECT_GT(misses, 0u);  // on_miss ran
+}
+
+TEST(FitPolicy, DispatchRunsTheEdfJobOfEveryMachineInStrongLbGames) {
+  for (FitRule rule : kAllRules) {
+    SCOPED_TRACE(fit_rule_name(rule));
+    DispatchChecked<FitPolicy> policy(rule, 7);
+    StrongLbResult result = run_strong_lower_bound(policy, 6);
+    EXPECT_FALSE(result.opponent_missed_deadline);
+    EXPECT_GT(policy.dispatches, 0u);
+  }
+}
+
 TEST(FitPolicy, NamesAreDistinct) {
   EXPECT_STREQ(fit_rule_name(FitRule::kFirstFit), "FirstFit");
   EXPECT_STREQ(fit_rule_name(FitRule::kBestFit), "BestFit");
